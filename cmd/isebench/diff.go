@@ -34,7 +34,7 @@ const counterWarnPct = 10
 var workCounters = []string{
 	"kl_toggles", "kl_probes", "kl_cp_full_sweeps", "kl_gain_rebuilds",
 	"kl_gaincache_misses", "kl_pool_misses", "exact_explored",
-	"exact_subtree_tasks", "genetic_evaluations", "cache_misses",
+	"exact_subtree_tasks", "genetic_evaluations",
 }
 
 // counterWarnings compares a suite's work-counter deltas against the

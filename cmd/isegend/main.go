@@ -22,9 +22,8 @@
 //	     block records stay bit-identical to algo=exact. &deadline= (a Go
 //	     duration, e.g. 200ms; racing only) bounds each block's race —
 //	     on expiry the stream carries the best anytime answer instead of
-//	     the proven optimum. /v1/metrics reports the seeding
-//	     effectiveness (seed bound, raises, seeded vs unseeded explored
-//	     node counts).
+//	     the proven optimum. The racing_seed_publications and
+//	     exact_explored counters report the seeding effectiveness.
 //	     &objective= selects the scoring objective (merit, reuse, area,
 //	     energy, latency, class, pareto; parameterized by &gate_penalty=,
 //	     &latency_budget=, &class_weights=memory=0.5,compute=2). An
@@ -33,10 +32,10 @@
 //	     non-dominated candidates) before the summary. Engines other
 //	     than isegen accept only objective=merit. The default stream is
 //	     unchanged and stays bit-identical to `isegen -json`.
-//	GET  /v1/metrics    queue/cache/racing/runtime/search statistics (JSON,
+//	GET  /v1/metrics    queue/ready/cache/runtime/search statistics (JSON,
 //	     including engine-internal counters and fixed-bucket latency and
 //	     queue-wait histograms)
-//	GET  /metrics       Prometheus text exposition of the same data
+//	GET  /metrics       Prometheus text exposition of the same snapshot
 //	GET  /healthz       readiness probe: 503 with a JSON reason while the
 //	     persistent store is loading or the queue is saturated, 200
 //	     otherwise; ?live=1 is the always-200 liveness probe

@@ -113,32 +113,25 @@ func (a *Aggregate) ObserveJob(rec *Recorder, engine, tenant string, latency, wa
 	h.Observe(wait)
 }
 
-// Counters snapshots the cumulative counters.
-func (a *Aggregate) Counters() CounterSnapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.counters
+// AggregateSnapshot is a consistent copy of an Aggregate.
+type AggregateSnapshot struct {
+	Counters  CounterSnapshot
+	SpanDrops int64
+	Latency   map[string]HistogramSnapshot // by engine
+	QueueWait map[string]HistogramSnapshot // by tenant
 }
 
-// SpanDrops reports the cumulative span-ring overwrites across jobs.
-func (a *Aggregate) SpanDrops() int64 {
+// Snapshot copies the aggregate under one lock, so its counters and
+// histograms describe the same set of completed jobs.
+func (a *Aggregate) Snapshot() AggregateSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.spanDrops
-}
-
-// Latency snapshots the per-engine job-latency histograms.
-func (a *Aggregate) Latency() map[string]HistogramSnapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return snapshotMap(a.latency)
-}
-
-// QueueWait snapshots the per-tenant queue-wait histograms.
-func (a *Aggregate) QueueWait() map[string]HistogramSnapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return snapshotMap(a.wait)
+	return AggregateSnapshot{
+		Counters:  a.counters,
+		SpanDrops: a.spanDrops,
+		Latency:   snapshotMap(a.latency),
+		QueueWait: snapshotMap(a.wait),
+	}
 }
 
 func snapshotMap(m map[string]*Histogram) map[string]HistogramSnapshot {

@@ -105,10 +105,6 @@ const (
 	// Racing meta-engine (internal/search).
 	RacingSeeds // heuristic answers that successfully tightened the exact bound
 
-	// Cut-costing cache (per-job deltas folded in by the caller).
-	CacheHits
-	CacheMisses
-
 	// Store persistence resilience (serving layer): post-job flush
 	// attempts that were retried after a transient failure, and flushes
 	// that still failed after every retry (the costings stay dirty in
@@ -141,8 +137,6 @@ var counterNames = [numCounters]string{
 	"genetic_generations",
 	"genetic_evaluations",
 	"racing_seed_publications",
-	"cache_hits",
-	"cache_misses",
 	"store_flush_retries",
 	"store_flush_failures",
 }

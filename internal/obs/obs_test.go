@@ -115,10 +115,10 @@ func TestCounterSnapshotMapAndAdd(t *testing.T) {
 	var a, b CounterSnapshot
 	a[KLToggles] = 3
 	b[KLToggles] = 4
-	b[CacheHits] = 1
+	b[RacingSeeds] = 1
 	a.Add(b)
 	m := a.Map()
-	if m["kl_toggles"] != 7 || m["cache_hits"] != 1 || len(m) != 2 {
+	if m["kl_toggles"] != 7 || m["racing_seed_publications"] != 1 || len(m) != 2 {
 		t.Fatalf("merged map = %v", m)
 	}
 	for _, c := range AllCounters() {
@@ -185,17 +185,17 @@ func TestAggregateFold(t *testing.T) {
 	}
 	a.ObserveJob(r, "exact", "alice", 10*time.Millisecond, 2*time.Millisecond)
 	a.ObserveJob(nil, "exact", "bob", 20*time.Millisecond, time.Millisecond)
-	if got := a.Counters().Get(ExactExplored); got != 10 {
+	snap := a.Snapshot()
+	if got := snap.Counters.Get(ExactExplored); got != 10 {
 		t.Fatalf("aggregate explored = %d", got)
 	}
-	if a.SpanDrops() != 3 {
-		t.Fatalf("span drops = %d, want 3", a.SpanDrops())
+	if snap.SpanDrops != 3 {
+		t.Fatalf("span drops = %d, want 3", snap.SpanDrops)
 	}
-	lat := a.Latency()
-	if lat["exact"].Count != 2 {
-		t.Fatalf("latency count = %d", lat["exact"].Count)
+	if snap.Latency["exact"].Count != 2 {
+		t.Fatalf("latency count = %d", snap.Latency["exact"].Count)
 	}
-	if w := a.QueueWait(); w["alice"].Count != 1 || w["bob"].Count != 1 {
+	if w := snap.QueueWait; w["alice"].Count != 1 || w["bob"].Count != 1 {
 		t.Fatalf("wait histograms = %v", w)
 	}
 }

@@ -97,13 +97,6 @@ type Stats struct {
 	// cut short by Limits.Deadline returns its best anytime answer with
 	// Optimal false.
 	Optimal bool
-	// SeedBound is the merit the racing engine's K-L pass published into
-	// the exact search's best-bound before it finished (0 when the exact
-	// search won the race outright or the engine is not racing).
-	SeedBound float64
-	// BoundRaises counts successful external bound publications (the
-	// racing engine's K-L raises; 0 elsewhere).
-	BoundRaises int64
 }
 
 // Engine identifies up to lim.NISE instruction-set extensions in one basic

@@ -75,16 +75,13 @@ func (e *Racing) Run(blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, S
 }
 
 // race is the per-run shared state of one RunContext: the event funnel
-// (serialized, merit-monotone, closed by the optimal event) and the
-// racer-side bound-publication counters feeding Stats.
+// (serialized, merit-monotone, closed by the optimal event).
 type race struct {
 	onEvent func(RaceEvent)
 
 	mu        sync.Mutex
 	lastMerit float64
 	finished  bool
-	seedBound float64
-	raises    int64
 }
 
 // publish funnels one racer's answer through the monotonicity gate:
@@ -107,23 +104,6 @@ func (r *race) publish(ev RaceEvent) bool {
 		r.onEvent(ev)
 	}
 	return true
-}
-
-// recordRaise notes one successful K-L bound publication for Stats.
-func (r *race) recordRaise(m float64) {
-	r.mu.Lock()
-	if r.seedBound < m {
-		r.seedBound = m
-	}
-	r.raises++
-	r.mu.Unlock()
-}
-
-// counters returns the raise statistics.
-func (r *race) counters() (seedBound float64, raises int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seedBound, r.raises
 }
 
 // totalMerit sums the cuts' merits — integer-valued floats, so the sum is
@@ -192,7 +172,6 @@ func (e *Racing) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, 
 		}
 		m := totalMerit(cuts)
 		if bound.Raise(m) {
-			r.recordRaise(m)
 			rec.Add(obs.RacingSeeds, 1)
 		}
 		r.publish(RaceEvent{Stage: "anytime", Engine: engine, Merit: m, Cuts: cuts})
@@ -245,7 +224,6 @@ func (e *Racing) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, 
 	cuts, exactErr := exact.MultiCutContext(raceCtx, blk, opt, lim.NISE)
 
 	finish := func(optimal bool) Stats {
-		stats.SeedBound, stats.BoundRaises = r.counters()
 		stats.Explored = explored
 		stats.Optimal = optimal
 		stats.Cuts = len(cuts)

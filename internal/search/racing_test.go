@@ -14,7 +14,17 @@ import (
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/latency"
+	"repro/internal/obs"
 )
+
+// runSeedsRecorded runs the racer with a counters-only recorder attached
+// and also returns its racing_seed_publications count: how many heuristic
+// answers tightened the exact search's bound.
+func runSeedsRecorded(racer *Racing, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, int64, error) {
+	rec := obs.NewRecorder(0)
+	cuts, stats, err := racer.RunContext(obs.WithRecorder(context.Background(), rec), blk, obj, lim)
+	return cuts, stats, rec.Counters().Get(obs.RacingSeeds), err
+}
 
 // racingFingerprint serializes a result for bit-identity checks.
 func racingFingerprint(cuts []*core.Cut) string {
@@ -145,9 +155,9 @@ func TestRacingEquivalence(t *testing.T) {
 }
 
 // TestRacingSeedObserved: on random blocks where K-L wins the race (the
-// exact side is held to the sequential path on a non-trivial block), Stats
-// records the seed publication and the seeded run explores no more nodes
-// than an unseeded exact run.
+// exact side is held to the sequential path on a non-trivial block), the
+// recorder counts the seed publication and the seeded run explores no more
+// nodes than an unseeded exact run.
 func TestRacingSeedObserved(t *testing.T) {
 	model := latency.Default()
 	obj := Merit(model)
@@ -162,18 +172,15 @@ func TestRacingSeedObserved(t *testing.T) {
 			t.Fatal(err)
 		}
 		racer := &Racing{Cache: NewCostCache()}
-		cuts, stats, err := racer.Run(blk, obj, &lim)
+		cuts, stats, seeds, err := runSeedsRecorded(racer, blk, obj, &lim)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if racingFingerprint(cuts) != racingFingerprint(refCuts) {
 			t.Fatalf("trial %d: racing diverged from exact", trial)
 		}
-		if stats.BoundRaises > 0 {
+		if seeds > 0 {
 			seeded = true
-			if stats.SeedBound <= 0 {
-				t.Fatalf("trial %d: %d raises but SeedBound = %v", trial, stats.BoundRaises, stats.SeedBound)
-			}
 			if stats.Explored > refStats.Explored {
 				t.Fatalf("trial %d: seeded race explored %d nodes, unseeded exact %d",
 					trial, stats.Explored, refStats.Explored)
@@ -200,7 +207,7 @@ func TestRacingDeadline(t *testing.T) {
 	racer := &Racing{Cache: NewCostCache(), OnEvent: func(ev RaceEvent) { events = append(events, ev) }}
 	lim := &Limits{MaxIn: 4, MaxOut: 2, NISE: 4, Deadline: 2 * time.Second}
 	start := time.Now()
-	cuts, stats, err := racer.Run(blk, obj, lim)
+	cuts, stats, seeds, err := runSeedsRecorded(racer, blk, obj, lim)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("deadlined race: %v", err)
@@ -229,9 +236,8 @@ func TestRacingDeadline(t *testing.T) {
 	if racingFingerprint(fin.Cuts) != racingFingerprint(cuts) {
 		t.Fatal("last anytime event differs from the returned best-so-far answer")
 	}
-	if stats.SeedBound <= 0 || stats.BoundRaises == 0 {
-		t.Fatalf("completed K-L run did not register as a seed: SeedBound=%v raises=%d",
-			stats.SeedBound, stats.BoundRaises)
+	if seeds == 0 {
+		t.Fatal("completed K-L run did not register as a seed: racing_seed_publications = 0")
 	}
 	waitGoroutines(t, base)
 }
@@ -270,7 +276,7 @@ func TestRacingExactWinsGated(t *testing.T) {
 		}
 	}
 	racer.gate = func() { <-gate }
-	cuts, stats, err := racer.Run(blk, obj, lim)
+	cuts, stats, seeds, err := runSeedsRecorded(racer, blk, obj, lim)
 	if err != nil {
 		t.Fatalf("%s: %v", spec.Name, err)
 	}
@@ -280,8 +286,8 @@ func TestRacingExactWinsGated(t *testing.T) {
 	if !stats.Optimal {
 		t.Fatal("exact-won race not marked Optimal")
 	}
-	if stats.SeedBound != 0 || stats.BoundRaises != 0 {
-		t.Fatalf("K-L never ran, yet SeedBound=%v raises=%d", stats.SeedBound, stats.BoundRaises)
+	if seeds != 0 {
+		t.Fatalf("K-L never ran, yet racing_seed_publications = %d", seeds)
 	}
 	if len(events) != 1 || events[0].Stage != "optimal" {
 		t.Fatalf("events = %+v, want exactly one optimal event", events)

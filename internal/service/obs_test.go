@@ -8,11 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dfgio"
+	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -259,6 +262,91 @@ func TestPromMetricsScrape(t *testing.T) {
 	}
 	if !strings.Contains(text, `isegend_queue_wait_seconds_count{tenant="default"} 1`) {
 		t.Error("queue wait histogram missing tenant=\"default\" series with count 1")
+	}
+}
+
+// TestMetricsSurfacesAgree pins the one-snapshot contract under
+// overlapping jobs: /metrics declares every family exactly once, every
+// sample belongs to a declared family, and the cache families carry the
+// same values as the /v1/metrics document.
+func TestMetricsSurfacesAgree(t *testing.T) {
+	srv := NewServer(Config{Workers: 2})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var apps [][]byte
+	for _, app := range []*ir.Application{kernels.Fbital00(), kernels.Conven00(), kernels.Autcor00()} {
+		apps = append(apps, kernelDFG(t, app))
+	}
+	var wg sync.WaitGroup
+	for _, tenant := range []string{"a", "b"} {
+		wg.Add(1)
+		go func(tenant string) {
+			defer wg.Done()
+			for _, dfg := range apps {
+				resp, err := http.Post(ts.URL+"/v1/select?tenant="+tenant, "text/plain", bytes.NewReader(dfg))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("tenant %s: status %d", tenant, resp.StatusCode)
+				}
+			}
+		}(tenant)
+	}
+	wg.Wait()
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fetchMetrics(t, ts)
+
+	types := map[string]string{} // family -> type
+	values := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if f := strings.Fields(line); strings.HasPrefix(line, "# TYPE ") && len(f) == 4 {
+			if _, dup := types[f[2]]; dup {
+				t.Errorf("family %s declared twice", f[2])
+			}
+			types[f[2]] = f[3]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, value, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		family := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && types[base] == "histogram" {
+				family = base
+			}
+		}
+		if _, ok := types[family]; !ok {
+			t.Errorf("sample %q belongs to no declared family", line)
+		}
+		values[name] = value
+	}
+	for family, want := range map[string]int64{
+		"isegend_cache_hits_total":   m.Cache.Hits,
+		"isegend_cache_misses_total": m.Cache.Misses,
+	} {
+		if got := values[family]; got != strconv.FormatInt(want, 10) {
+			t.Errorf("%s = %s, /v1/metrics says %d", family, got, want)
+		}
+	}
+	if m.Cache.Hits+m.Cache.Misses == 0 {
+		t.Error("no cache lookups recorded after six isegen jobs")
 	}
 }
 

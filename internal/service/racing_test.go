@@ -173,76 +173,53 @@ func TestServiceDeadlineParam(t *testing.T) {
 	}
 }
 
-// TestServiceMetricsRacingSection pins the /v1/metrics extension: the
-// racing section exists with its full schema from the first scrape
-// (all-zero), then fills in after racing and exact jobs — seeded and
-// unseeded explored-node counts accumulating on their own axes.
+// TestServiceMetricsRacingSection pins what the retired /v1/metrics
+// "racing" section used to report, read from search.counters deltas on
+// one input: a racing job publishes heuristic seeds into the exact bound,
+// both racing and exact jobs explore the branch-and-bound tree, and the
+// seeded proof explores no more of it than the unseeded one. Viterb00's
+// 23-node block keeps the exact search busy for hundreds of milliseconds,
+// so K-L's millisecond answer always lands before the proof (on smaller
+// kernels the proof can win the race and publish no seed).
 func TestServiceMetricsRacingSection(t *testing.T) {
-	dfg := kernelDFG(t, kernels.Conven00())
+	dfg := kernelDFG(t, kernels.Viterb00())
 	srv := NewServer(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Schema compatibility: the new section must not displace the existing
-	// document, and must carry every documented key even before any job.
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	for _, key := range []string{"queue", "cache", "racing"} {
-		if _, ok := doc[key]; !ok {
-			t.Fatalf("/v1/metrics lacks %q section: %v", key, doc)
+	delta := func(query string) map[string]int64 {
+		t.Helper()
+		before := fetchMetrics(t, ts).Search.Counters
+		if status, body := postSelect(t, ts, dfg, query); status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", query, status, body)
 		}
-	}
-	var racing map[string]json.RawMessage
-	if err := json.Unmarshal(doc["racing"], &racing); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"jobs", "last_seed_bound", "bound_raises", "explored_seeded", "explored_unseeded"} {
-		if _, ok := racing[key]; !ok {
-			t.Fatalf("racing section lacks %q: %s", key, doc["racing"])
+		after := fetchMetrics(t, ts).Search.Counters
+		d := map[string]int64{}
+		for k, v := range after {
+			d[k] = v - before[k]
 		}
+		return d
 	}
 
-	before := fetchMetrics(t, ts)
-	if before.Racing.Jobs != 0 || before.Racing.ExploredSeeded != 0 || before.Racing.ExploredUnseeded != 0 {
-		t.Fatalf("racing counters non-zero before any job: %+v", before.Racing)
+	racing := delta("?algo=racing")
+	if racing["racing_seed_publications"] <= 0 {
+		t.Fatalf("racing job moved no racing_seed_publications: %v", racing)
 	}
-
-	if status, body := postSelect(t, ts, dfg, "?algo=racing"); status != http.StatusOK {
-		t.Fatalf("racing job: status %d: %s", status, body)
+	if racing["exact_explored"] <= 0 {
+		t.Fatalf("racing job moved no exact_explored: %v", racing)
 	}
-	afterRacing := fetchMetrics(t, ts)
-	if afterRacing.Racing.Jobs != 1 {
-		t.Fatalf("racing jobs = %d after one racing job", afterRacing.Racing.Jobs)
+	exact := delta("?algo=exact")
+	if exact["exact_explored"] <= 0 {
+		t.Fatalf("exact job moved no exact_explored: %v", exact)
 	}
-	if afterRacing.Racing.ExploredSeeded <= 0 {
-		t.Fatalf("explored_seeded = %d after a racing job", afterRacing.Racing.ExploredSeeded)
-	}
-	if afterRacing.Racing.ExploredUnseeded != 0 {
-		t.Fatalf("explored_unseeded = %d moved by a racing job", afterRacing.Racing.ExploredUnseeded)
-	}
-
-	if status, body := postSelect(t, ts, dfg, "?algo=exact"); status != http.StatusOK {
-		t.Fatalf("exact job: status %d: %s", status, body)
-	}
-	afterExact := fetchMetrics(t, ts)
-	if afterExact.Racing.ExploredUnseeded <= 0 {
-		t.Fatalf("explored_unseeded = %d after an exact job", afterExact.Racing.ExploredUnseeded)
-	}
-	if afterExact.Racing.Jobs != 1 {
-		t.Fatalf("exact job changed the racing job count: %d", afterExact.Racing.Jobs)
+	if exact["racing_seed_publications"] != 0 {
+		t.Fatalf("exact job moved racing_seed_publications by %d", exact["racing_seed_publications"])
 	}
 	// The headline claim, measured over the same input: the seeded proof
 	// explores no more of the tree than the unseeded one.
-	if afterExact.Racing.ExploredSeeded > afterExact.Racing.ExploredUnseeded {
+	if racing["exact_explored"] > exact["exact_explored"] {
 		t.Fatalf("seeded explored %d > unseeded %d on the same input",
-			afterExact.Racing.ExploredSeeded, afterExact.Racing.ExploredUnseeded)
+			racing["exact_explored"], exact["exact_explored"])
 	}
 }

@@ -68,14 +68,13 @@ type Config struct {
 //	POST /v1/select?algo=isegen&in=4&out=2&nise=4   body: .dfg text
 //	     (&objective=pareto|merit|reuse|area|energy|latency|class,
 //	      &gate_penalty=, &latency_budget=, &class_weights=memory=0.5)
-//	GET  /v1/metrics    JSON: queue/cache/racing/runtime/search sections
-//	GET  /metrics       Prometheus text exposition
+//	GET  /v1/metrics    JSON: queue/ready/cache/runtime/search sections
+//	GET  /metrics       Prometheus text exposition of the same snapshot
 //	GET  /healthz       readiness (503 + reason while unready); ?live=1 liveness
 type Server struct {
 	cfg   Config
 	queue *Queue
 	cache *search.CostCache
-	race  *RaceCounters
 	// agg accumulates per-job recorders into the served metrics view:
 	// engine counters, per-engine latency and per-tenant queue-wait
 	// histograms (fixed buckets — see obs.DefaultBuckets).
@@ -88,7 +87,6 @@ type Server struct {
 
 	mu                       sync.Mutex
 	lastJobHits, lastJobMiss int64
-	flushErrs                int64
 }
 
 // NewServer starts the worker pool and returns a ready-to-serve Server.
@@ -122,7 +120,6 @@ func NewServer(cfg Config) *Server {
 		cfg:   cfg,
 		queue: NewQueue(cfg.QueueCapacity, cfg.Workers, cfg.TenantBudget),
 		cache: cfg.Cache,
-		race:  &RaceCounters{},
 		agg:   obs.NewAggregate(),
 	}
 	if st := s.cache.Store(); st != nil {
@@ -395,7 +392,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		// were committed, 504 before. Engine failures after streaming
 		// started land in-stream (the 200 is committed by then); before
 		// any record, the handler turns them into a real error status.
-		if err := Run(WithRaceCounters(ctx, s.race), app, p, s.cache, emit); err != nil && r.Context().Err() == nil {
+		if err := Run(ctx, app, p, s.cache, emit); err != nil && r.Context().Err() == nil {
 			if wrote {
 				_ = emit(&ErrorRecord{Type: "error", Error: err.Error()})
 			} else {
@@ -403,26 +400,18 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		h1, m1 := s.cache.Stats()
-		// Concurrent jobs blur the per-job attribution of these deltas the
-		// same way they blur lastJobHits below; the cumulative sums in the
-		// aggregate stay exact.
-		rec.Add(obs.CacheHits, h1-h0)
-		rec.Add(obs.CacheMisses, m1-m0)
 		// Flush before the recorder folds into the aggregate so the
 		// retry/failure counters land in this job's observation; runDur is
 		// captured first so persistence latency (and its backoff sleeps)
 		// never pollutes the job-duration histograms.
 		runDur := time.Since(runStart)
-		flushErr := s.flushStore(rec)
+		s.flushStore(rec)
 		rec.End(jobSpan)
 		s.agg.ObserveJob(rec, p.Algo, tenant, runDur, wait)
 		s.mu.Lock()
 		// Overlapping jobs blur these deltas; they are exact whenever
 		// jobs run one at a time (the benchmark/repro setup).
 		s.lastJobHits, s.lastJobMiss = h1-h0, m1-m0
-		if flushErr != nil {
-			s.flushErrs++
-		}
 		s.mu.Unlock()
 	})
 	if err != nil {
@@ -467,8 +456,9 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 // returns immediately — the store's write breaker is already refusing
 // writes, and retrying from every job would defeat its purpose. The
 // costings stay dirty in memory either way, so a later flush (riding the
-// breaker's deterministic recovery probes) persists them eventually.
-func (s *Server) flushStore(rec *obs.Recorder) error {
+// breaker's deterministic recovery probes) persists them eventually. A
+// flush that still fails after every retry counts in store_flush_failures.
+func (s *Server) flushStore(rec *obs.Recorder) {
 	err := s.cache.Flush()
 	backoff := s.cfg.FlushBackoff
 	for try := 0; try < s.cfg.FlushRetries && err != nil && !errors.Is(err, search.ErrStoreDegraded); try++ {
@@ -480,16 +470,17 @@ func (s *Server) flushStore(rec *obs.Recorder) error {
 	if err != nil {
 		rec.Add(obs.StoreFlushFailures, 1)
 	}
-	return err
 }
 
-// Metrics is the /v1/metrics response document.
+// Metrics is the metrics document. Server.snapshot reads every source
+// into it once; /v1/metrics encodes it as JSON and /metrics renders it as
+// Prometheus text, so the two surfaces cannot disagree.
 type Metrics struct {
-	Queue QueueStats   `json:"queue"`
+	Queue QueueStats `json:"queue"`
+	// Ready mirrors the readiness probe: true when /healthz would not
+	// report 503.
+	Ready bool         `json:"ready"`
 	Cache CacheMetrics `json:"cache"`
-	// Racing reports the racing engine's bound-seeding effectiveness
-	// (see RacingMetrics); all-zero until a racing or exact job runs.
-	Racing RacingMetrics `json:"racing"`
 	// Runtime reports process-level gauges (goroutines, heap highlights).
 	Runtime RuntimeMetrics `json:"runtime"`
 	// Search reports engine-internal counters and latency/queue-wait
@@ -535,6 +526,8 @@ type SearchMetrics struct {
 	SpanDrops        int64                            `json:"span_drops"`
 	LatencySeconds   map[string]obs.HistogramSnapshot `json:"latency_seconds,omitempty"`
 	QueueWaitSeconds map[string]obs.HistogramSnapshot `json:"queue_wait_seconds,omitempty"`
+	// all is the same counter read with zeros kept, for the exposition.
+	all obs.CounterSnapshot
 }
 
 // CacheMetrics reports the shared cost cache's effectiveness: cumulative
@@ -550,131 +543,147 @@ type CacheMetrics struct {
 	LastJobRate float64 `json:"last_job_hit_rate"`
 	// Store reports disk persistence activity when a store is attached.
 	Store *search.StoreStats `json:"store,omitempty"`
-	// FlushErrors counts failed post-job persistence attempts.
-	FlushErrors int64 `json:"flush_errors"`
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// hitRate is hits/(hits+misses), 0 before any lookup.
+func hitRate(hits, misses int64) float64 {
+	if t := hits + misses; t > 0 {
+		return float64(hits) / float64(t)
+	}
+	return 0
+}
+
+// snapshot reads every metrics source once: queue, readiness, cache,
+// store, runtime and the job aggregate.
+func (s *Server) snapshot() *Metrics {
 	hits, misses := s.cache.Stats()
 	s.mu.Lock()
-	cm := CacheMetrics{
-		Hits: hits, Misses: misses,
-		LastJobHits: s.lastJobHits, LastJobMiss: s.lastJobMiss,
-		FlushErrors: s.flushErrs,
-	}
+	cm := CacheMetrics{Hits: hits, Misses: misses, LastJobHits: s.lastJobHits, LastJobMiss: s.lastJobMiss}
 	s.mu.Unlock()
-	if t := hits + misses; t > 0 {
-		cm.HitRate = float64(hits) / float64(t)
-	}
-	if t := cm.LastJobHits + cm.LastJobMiss; t > 0 {
-		cm.LastJobRate = float64(cm.LastJobHits) / float64(t)
-	}
+	cm.HitRate = hitRate(cm.Hits, cm.Misses)
+	cm.LastJobRate = hitRate(cm.LastJobHits, cm.LastJobMiss)
 	if st := s.cache.Store(); st != nil {
 		ss := st.Stats()
 		cm.Store = &ss
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(&Metrics{
+	agg := s.agg.Snapshot()
+	return &Metrics{
 		Queue:   s.queue.Stats(),
+		Ready:   s.storeReady.Load() && !s.queue.Saturated(),
 		Cache:   cm,
-		Racing:  s.race.Snapshot(),
 		Runtime: runtimeMetrics(),
 		Search: SearchMetrics{
-			Counters:         s.agg.Counters().Map(),
-			SpanDrops:        s.agg.SpanDrops(),
-			LatencySeconds:   s.agg.Latency(),
-			QueueWaitSeconds: s.agg.QueueWait(),
+			Counters:         agg.Counters.Map(),
+			SpanDrops:        agg.SpanDrops,
+			LatencySeconds:   agg.Latency,
+			QueueWaitSeconds: agg.QueueWait,
+			all:              agg.Counters,
 		},
-	})
+	}
 }
 
-// handlePromMetrics serves the Prometheus text exposition: queue and
-// cache state, racing effectiveness, every engine-internal counter
-// (zeros included, so a silent exporter is distinguishable from a quiet
-// engine), job-latency and queue-wait histograms, and runtime gauges.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(s.snapshot())
+}
+
+// promRow is one single-sample Prometheus family read off a snapshot.
+type promRow struct {
+	name, help string
+	emit       func(p *obs.PromWriter, name, help string, samples ...obs.Sample)
+	value      func(m *Metrics) float64
+}
+
+func (r promRow) write(pw *obs.PromWriter, m *Metrics) {
+	r.emit(pw, r.name, r.help, obs.Sample{Value: r.value(m)})
+}
+
+var (
+	promCounter = (*obs.PromWriter).Counter
+	promGauge   = (*obs.PromWriter).Gauge
+)
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// promRows are the families every scrape carries.
+var promRows = []promRow{
+	{"isegend_queue_depth", "Jobs waiting in the bounded FIFO.", promGauge,
+		func(m *Metrics) float64 { return float64(m.Queue.Depth) }},
+	{"isegend_queue_active_jobs", "Jobs currently running on queue workers.", promGauge,
+		func(m *Metrics) float64 { return float64(m.Queue.Active) }},
+	{"isegend_queue_accepted_total", "Jobs accepted by Submit.", promCounter,
+		func(m *Metrics) float64 { return float64(m.Queue.Accepted) }},
+	{"isegend_queue_rejected_total", "Submissions refused (queue full or closed).", promCounter,
+		func(m *Metrics) float64 { return float64(m.Queue.Rejected) }},
+	{"isegend_queue_completed_total", "Jobs that ran to completion.", promCounter,
+		func(m *Metrics) float64 { return float64(m.Queue.Completed) }},
+	{"isegend_queue_dropped_total", "Jobs abandoned while queued (cancel or shutdown).", promCounter,
+		func(m *Metrics) float64 { return float64(m.Queue.Dropped) }},
+	{"isegend_queue_panics_total", "Jobs that crashed (contained to the job).", promCounter,
+		func(m *Metrics) float64 { return float64(m.Queue.Panics) }},
+	{"isegend_ready", "1 when the readiness probe would report 200.", promGauge,
+		func(m *Metrics) float64 { return b2f(m.Ready) }},
+	{"isegend_cache_hits_total", "Cut-costing cache hits.", promCounter,
+		func(m *Metrics) float64 { return float64(m.Cache.Hits) }},
+	{"isegend_cache_misses_total", "Cut-costing cache misses.", promCounter,
+		func(m *Metrics) float64 { return float64(m.Cache.Misses) }},
+	{"isegend_span_drops_total", "Span-ring overwrites across completed jobs.", promCounter,
+		func(m *Metrics) float64 { return float64(m.Search.SpanDrops) }},
+	{"isegend_goroutines", "Live goroutines.", promGauge,
+		func(m *Metrics) float64 { return float64(m.Runtime.Goroutines) }},
+	{"isegend_heap_alloc_bytes", "Bytes of live heap objects.", promGauge,
+		func(m *Metrics) float64 { return float64(m.Runtime.HeapAllocBytes) }},
+	{"isegend_heap_sys_bytes", "Heap memory obtained from the OS.", promGauge,
+		func(m *Metrics) float64 { return float64(m.Runtime.HeapSysBytes) }},
+	{"isegend_heap_objects", "Live heap object count.", promGauge,
+		func(m *Metrics) float64 { return float64(m.Runtime.HeapObjects) }},
+	{"isegend_gc_cycles_total", "Completed GC cycles.", promCounter,
+		func(m *Metrics) float64 { return float64(m.Runtime.NumGC) }},
+}
+
+// promStoreRows are the families a scrape carries when a persistent store
+// is attached (m.Cache.Store non-nil).
+var promStoreRows = []promRow{
+	{"isegend_store_degraded", "1 while the store's write breaker is open (read-through degraded mode).", promGauge,
+		func(m *Metrics) float64 { return b2f(m.Cache.Store.Degraded) }},
+	{"isegend_store_bytes", "Bytes of live cache entries on disk.", promGauge,
+		func(m *Metrics) float64 { return float64(m.Cache.Store.CurrentBytes) }},
+	{"isegend_store_corrupt_total", "Entries quarantined after failing the header, checksum or decode.", promCounter,
+		func(m *Metrics) float64 { return float64(m.Cache.Store.Corrupt) }},
+	{"isegend_store_write_errors_total", "Disk-touching store writes that failed.", promCounter,
+		func(m *Metrics) float64 { return float64(m.Cache.Store.WriteErrors) }},
+	{"isegend_store_breaker_trips_total", "Write breaker openings.", promCounter,
+		func(m *Metrics) float64 { return float64(m.Cache.Store.BreakerTrips) }},
+	{"isegend_store_probes_total", "Recovery probes attempted while degraded.", promCounter,
+		func(m *Metrics) float64 { return float64(m.Cache.Store.Probes) }},
+	{"isegend_store_recoveries_total", "Breaker closings after a successful probe.", promCounter,
+		func(m *Metrics) float64 { return float64(m.Cache.Store.Recoveries) }},
+}
+
+// handlePromMetrics serves the snapshot as Prometheus text exposition:
+// the row families, every engine-internal counter (zeros included, so a
+// silent exporter is distinguishable from a quiet engine), and the
+// job-latency and queue-wait histograms.
 func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
+	m := s.snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	pw := obs.NewPromWriter(w)
-
-	qs := s.queue.Stats()
-	pw.Gauge("isegend_queue_depth", "Jobs waiting in the bounded FIFO.",
-		obs.Sample{Value: float64(qs.Depth)})
-	pw.Gauge("isegend_queue_active_jobs", "Jobs currently running on queue workers.",
-		obs.Sample{Value: float64(qs.Active)})
-	pw.Counter("isegend_queue_accepted_total", "Jobs accepted by Submit.",
-		obs.Sample{Value: float64(qs.Accepted)})
-	pw.Counter("isegend_queue_rejected_total", "Submissions refused (queue full or closed).",
-		obs.Sample{Value: float64(qs.Rejected)})
-	pw.Counter("isegend_queue_completed_total", "Jobs that ran to completion.",
-		obs.Sample{Value: float64(qs.Completed)})
-	pw.Counter("isegend_queue_dropped_total", "Jobs abandoned while queued (cancel or shutdown).",
-		obs.Sample{Value: float64(qs.Dropped)})
-	pw.Counter("isegend_queue_panics_total", "Jobs that crashed (contained to the job).",
-		obs.Sample{Value: float64(qs.Panics)})
-
-	ready := float64(0)
-	if s.storeReady.Load() && !s.queue.Saturated() {
-		ready = 1
+	for _, row := range promRows {
+		row.write(pw, m)
 	}
-	pw.Gauge("isegend_ready", "1 when the readiness probe would report 200.",
-		obs.Sample{Value: ready})
-
-	hits, misses := s.cache.Stats()
-	s.mu.Lock()
-	flushErrs := s.flushErrs
-	s.mu.Unlock()
-	pw.Counter("isegend_cache_hits_total", "Cut-costing cache hits.",
-		obs.Sample{Value: float64(hits)})
-	pw.Counter("isegend_cache_misses_total", "Cut-costing cache misses.",
-		obs.Sample{Value: float64(misses)})
-	pw.Counter("isegend_cache_flush_errors_total", "Failed post-job cache persistence attempts.",
-		obs.Sample{Value: float64(flushErrs)})
-
-	if st := s.cache.Store(); st != nil {
-		ss := st.Stats()
-		degraded := 0.0
-		if ss.Degraded {
-			degraded = 1
+	if m.Cache.Store != nil {
+		for _, row := range promStoreRows {
+			row.write(pw, m)
 		}
-		pw.Gauge("isegend_store_degraded", "1 while the store's write breaker is open (read-through degraded mode).",
-			obs.Sample{Value: degraded})
-		pw.Gauge("isegend_store_bytes", "Bytes of live cache entries on disk.",
-			obs.Sample{Value: float64(ss.CurrentBytes)})
-		pw.Counter("isegend_store_corrupt_total", "Entries quarantined after failing the header, checksum or decode.",
-			obs.Sample{Value: float64(ss.Corrupt)})
-		pw.Counter("isegend_store_write_errors_total", "Disk-touching store writes that failed.",
-			obs.Sample{Value: float64(ss.WriteErrors)})
-		pw.Counter("isegend_store_breaker_trips_total", "Write breaker openings.",
-			obs.Sample{Value: float64(ss.BreakerTrips)})
-		pw.Counter("isegend_store_probes_total", "Recovery probes attempted while degraded.",
-			obs.Sample{Value: float64(ss.Probes)})
-		pw.Counter("isegend_store_recoveries_total", "Breaker closings after a successful probe.",
-			obs.Sample{Value: float64(ss.Recoveries)})
 	}
-
-	rm := s.race.Snapshot()
-	pw.Counter("isegend_racing_jobs_total", "Racing jobs observed.",
-		obs.Sample{Value: float64(rm.Jobs)})
-	pw.Counter("isegend_racing_bound_raises_total", "Heuristic seeds that tightened the exact bound.",
-		obs.Sample{Value: float64(rm.BoundRaises)})
-
-	pw.CounterFamilies("isegend", s.agg.Counters())
-	pw.Counter("isegend_span_drops_total", "Span-ring overwrites across completed jobs.",
-		obs.Sample{Value: float64(s.agg.SpanDrops())})
+	pw.CounterFamilies("isegend", m.Search.all)
 	pw.HistogramFamily("isegend_job_duration_seconds",
-		"Job run latency (queue wait excluded) by engine.", "engine", s.agg.Latency())
+		"Job run latency (queue wait excluded) by engine.", "engine", m.Search.LatencySeconds)
 	pw.HistogramFamily("isegend_queue_wait_seconds",
-		"Enqueue-to-run-start wait (tenant-budget holds included) by tenant.", "tenant", s.agg.QueueWait())
-
-	rt := runtimeMetrics()
-	pw.Gauge("isegend_goroutines", "Live goroutines.",
-		obs.Sample{Value: float64(rt.Goroutines)})
-	pw.Gauge("isegend_heap_alloc_bytes", "Bytes of live heap objects.",
-		obs.Sample{Value: float64(rt.HeapAllocBytes)})
-	pw.Gauge("isegend_heap_sys_bytes", "Heap memory obtained from the OS.",
-		obs.Sample{Value: float64(rt.HeapSysBytes)})
-	pw.Gauge("isegend_heap_objects", "Live heap object count.",
-		obs.Sample{Value: float64(rt.HeapObjects)})
-	pw.Counter("isegend_gc_cycles_total", "Completed GC cycles.",
-		obs.Sample{Value: float64(rt.NumGC)})
+		"Enqueue-to-run-start wait (tenant-budget holds included) by tenant.", "tenant", m.Search.QueueWaitSeconds)
 }
