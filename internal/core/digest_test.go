@@ -7,24 +7,21 @@ import (
 	"repro/internal/graph"
 )
 
-// TestProbeDigestMatchesFresh pins the cached Probe against the uncached
-// reference: two states replay the same random toggle/SetCut sequence,
-// one serving probes from the digest cache, one with the cache disabled,
-// and every node's ToggleEffect must be bit-for-bit identical at every
-// step. Probing every node after every mutation is exactly the K-L
-// access pattern, so this exercises hits, invalidation-driven misses and
-// the version guard together.
+// TestProbeDigestMatchesFresh pins the cached Probe against probeRef, the
+// uncached reference: one state replays a random toggle/SetCut sequence,
+// and after every step each node's Probe must be bit-for-bit identical to
+// probeRef on the same State. Probing every node after every mutation is
+// exactly the K-L access pattern, so this exercises hits,
+// invalidation-driven misses and the version guard together.
 func TestProbeDigestMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(99080620))
 	cfg := DefaultConfig()
 	for trial := 0; trial < 25; trial++ {
 		blk := randKernelBlock(rng, 10+rng.Intn(50))
-		cached := NewState(blk, cfg.Model, nil)
-		fresh := NewState(blk, cfg.Model, nil)
-		fresh.digestOff = true
+		st := NewState(blk, cfg.Model, nil)
 		var free []int
 		for v := 0; v < blk.N(); v++ {
-			if !cached.Frozen.Has(v) {
+			if !st.Frozen.Has(v) {
 				free = append(free, v)
 			}
 		}
@@ -33,17 +30,17 @@ func TestProbeDigestMatchesFresh(t *testing.T) {
 		}
 		for step := 0; step < 3*len(free); step++ {
 			v := free[rng.Intn(len(free))]
-			cached.Toggle(v)
-			fresh.Toggle(v)
+			st.Toggle(v)
 			for u := 0; u < blk.N(); u++ {
-				ce, fe := cached.Probe(u), fresh.Probe(u)
+				ce, fe := st.Probe(u), probeRef(st, u)
 				if ce != fe {
 					t.Fatalf("%s trial %d step %d (toggle %d): Probe(%d) %+v cached vs %+v fresh",
 						blk.Name, trial, step, v, u, ce, fe)
 				}
 			}
 			// Occasionally jump to an unrelated cut so SetCut-driven
-			// invalidation (both delta and sweep path) is in the loop.
+			// invalidation is in the loop; the jump itself must land on
+			// the oracle's counts.
 			if step%17 == 13 {
 				cut := graph.NewBitSet(blk.N())
 				for _, u := range free {
@@ -51,11 +48,11 @@ func TestProbeDigestMatchesFresh(t *testing.T) {
 						cut.Set(u)
 					}
 				}
-				cached.SetCut(cut)
-				fresh.SetCut(cut)
+				st.SetCut(cut)
+				verifyAgainstReference(t, st)
 			}
 		}
-		if cached.gainHits == 0 {
+		if st.gainHits == 0 {
 			t.Fatalf("%s trial %d: probe cache never hit", blk.Name, trial)
 		}
 	}
@@ -86,80 +83,5 @@ func TestProbeCacheServesRepeatedProbes(t *testing.T) {
 	}
 	if st.gainHits < int64(blk.N()) {
 		t.Fatalf("second sweep hit %d times, want at least %d", st.gainHits, blk.N())
-	}
-}
-
-// TestSetCutDeltaBitIdentity pins SetCut's incremental small-delta path
-// against the full-sweep reference across random cut sequences: after
-// every SetCut, all critical-path labels, the I/O counts, the violator
-// count and the merit must be bit-identical. Cut sizes straddle
-// setCutDeltaMax so both the delta path and the sweep fallback run.
-func TestSetCutDeltaBitIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260808))
-	cfg := DefaultConfig()
-	for trial := 0; trial < 25; trial++ {
-		blk := randKernelBlock(rng, 10+rng.Intn(60))
-		incr := NewState(blk, cfg.Model, nil)
-		full := NewState(blk, cfg.Model, nil)
-		full.fullCP = true
-		var free []int
-		for v := 0; v < blk.N(); v++ {
-			if !incr.Frozen.Has(v) {
-				free = append(free, v)
-			}
-		}
-		if len(free) == 0 {
-			continue
-		}
-		for step := 0; step < 20; step++ {
-			cut := graph.NewBitSet(blk.N())
-			// Alternate between near-current cuts (small delta), sparse
-			// random cuts, dense cuts (sweep fallback) and the empty cut.
-			switch step % 4 {
-			case 0:
-				cut.CopyFrom(incr.H)
-				for i := 0; i < 3; i++ {
-					u := free[rng.Intn(len(free))]
-					if cut.Has(u) {
-						cut.Clear(u)
-					} else {
-						cut.Set(u)
-					}
-				}
-			case 1:
-				for _, u := range free {
-					if rng.Intn(4) == 0 {
-						cut.Set(u)
-					}
-				}
-			case 2:
-				for _, u := range free {
-					if rng.Intn(4) != 0 {
-						cut.Set(u)
-					}
-				}
-			}
-			incr.SetCut(cut)
-			full.SetCut(cut)
-			if incr.hwCP != full.hwCP {
-				t.Fatalf("%s trial %d step %d: hwCP %v incremental vs %v full", blk.Name, trial, step, incr.hwCP, full.hwCP)
-			}
-			for u := 0; u < blk.N(); u++ {
-				if incr.level[u] != full.level[u] || incr.tail[u] != full.tail[u] {
-					t.Fatalf("%s trial %d step %d: node %d labels (%v,%v) incremental vs (%v,%v) full",
-						blk.Name, trial, step, u, incr.level[u], incr.tail[u], full.level[u], full.tail[u])
-				}
-			}
-			if incr.numIn != full.numIn || incr.numOut != full.numOut || incr.nviol != full.nviol {
-				t.Fatalf("%s trial %d step %d: io/viol (%d,%d,%d) incremental vs (%d,%d,%d) full",
-					blk.Name, trial, step, incr.numIn, incr.numOut, incr.nviol, full.numIn, full.numOut, full.nviol)
-			}
-			if incr.Merit() != full.Merit() {
-				t.Fatalf("%s trial %d step %d: merit %v incremental vs %v full", blk.Name, trial, step, incr.Merit(), full.Merit())
-			}
-		}
-		if incr.setCutInc == 0 {
-			t.Fatalf("%s trial %d: SetCut never took the incremental path", blk.Name, trial)
-		}
 	}
 }

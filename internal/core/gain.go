@@ -74,9 +74,6 @@ type gainContext struct {
 	// version is the State mutation count the labels reflect; prepare
 	// rebuilds whenever it trails the state (a toggle bypassed noteToggle).
 	version uint64
-	// noIncremental forces the full rebuild on every step; the pinning
-	// tests use it to check the incremental maintenance bit-for-bit.
-	noIncremental bool
 
 	sc graph.CompScratch
 	// nbSlots is the scratch for collecting the distinct slots adjacent
@@ -130,7 +127,7 @@ func (gc *gainContext) noteToggle(st *State, v int) {
 	if !gc.labelsValid {
 		return
 	}
-	if gc.noIncremental || st.version != gc.version+1 {
+	if st.version != gc.version+1 {
 		gc.labelsValid = false
 		return
 	}
@@ -254,7 +251,7 @@ func (gc *gainContext) reposition(s int) {
 func (t *trajectory) prepareGainContext() {
 	st := t.st
 	gc := &t.gc
-	if !gc.labelsValid || gc.version != st.version || gc.noIncremental {
+	if !gc.labelsValid || gc.version != st.version {
 		gc.rebuild(st)
 	}
 	for _, s := range gc.order {
@@ -273,7 +270,7 @@ func (t *trajectory) prepareGainContext() {
 }
 
 // gain evaluates the Section 4.2 gain of toggling node v against the
-// current partition.
+// current partition, given eff, the predicted effect of that toggle.
 //
 //	Gain(v) = α1·M(C') − α2·Vio(C') + α3·Cv(v) + α4·L(v) + α5·I(v)
 //
@@ -282,10 +279,9 @@ func (t *trajectory) prepareGainContext() {
 // it grow toward legality). Vio counts port-constraint violations. Cv is
 // the neighbour term, L the directional-growth term, I the
 // independent-subgraphs term.
-func (t *trajectory) gain(v int) float64 {
+func (t *trajectory) gain(v int, eff ToggleEffect) float64 {
 	st := t.st
 	w := t.cfg.Weights
-	eff := st.Probe(v)
 	adding := !st.H.Has(v)
 
 	// α1: merit of the new cut, only meaningful when convex. The true

@@ -44,8 +44,8 @@ func TestGainIOPenaltyDominates(t *testing.T) {
 	eng.st.Toggle(0) // s1 in H
 	eng.prepareGainContext()
 
-	gViolating := eng.gain(1) // adding s2: 4 inputs, 2 outputs -> violation
-	gFriendly := eng.gain(2)  // adding the xor consumer of s1
+	gViolating := eng.gain(1, eng.st.Probe(1)) // adding s2: 4 inputs, 2 outputs -> violation
+	gFriendly := eng.gain(2, eng.st.Probe(2))  // adding the xor consumer of s1
 	if gViolating >= gFriendly {
 		t.Errorf("violating candidate gain %v should be far below friendly %v", gViolating, gFriendly)
 	}
@@ -71,8 +71,8 @@ func TestGainConvexityTermSigns(t *testing.T) {
 	eng.st.Toggle(0)
 	eng.prepareGainContext()
 
-	gNeighbour := eng.gain(1)
-	gStranger := eng.gain(2)
+	gNeighbour := eng.gain(1, eng.st.Probe(1))
+	gStranger := eng.gain(2, eng.st.Probe(2))
 	if gNeighbour <= gStranger {
 		t.Errorf("neighbour gain %v must exceed stranger gain %v", gNeighbour, gStranger)
 	}
@@ -80,7 +80,7 @@ func TestGainConvexityTermSigns(t *testing.T) {
 	// is outside). Add n1 then check removal resistance of n0.
 	eng.st.Toggle(1)
 	eng.prepareGainContext()
-	gRemove := eng.gain(0) // H->S toggle of n0, which has n1 in cut
+	gRemove := eng.gain(0, eng.st.Probe(0)) // H->S toggle of n0, which has n1 in cut
 	if gRemove >= 0 {
 		t.Errorf("removal of connected node should have negative neighbour term, got %v", gRemove)
 	}
@@ -106,8 +106,8 @@ func TestGainIndependentTerm(t *testing.T) {
 	eng.st.Toggle(2) // H = {m1, m2} ∪ {x}
 	eng.prepareGainContext()
 
-	gX := eng.gain(2)  // removing the light xor: other component heavy
-	gM2 := eng.gain(1) // removing m2: other component light
+	gX := eng.gain(2, eng.st.Probe(2))  // removing the light xor: other component heavy
+	gM2 := eng.gain(1, eng.st.Probe(1)) // removing m2: other component light
 	if gX <= gM2 {
 		t.Errorf("removing from the light component (%v) should be favoured over the heavy one (%v)", gX, gM2)
 	}
@@ -129,7 +129,7 @@ func TestGainMeritTieBreaker(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Weights = Weights{Merit: 1}
 	eng := gainHarness(t, blk, cfg)
-	gx, gs := eng.gain(0), eng.gain(1)
+	gx, gs := eng.gain(0, eng.st.Probe(0)), eng.gain(1, eng.st.Probe(1))
 	if gx <= gs {
 		t.Errorf("xor (cheaper datapath) should tie-break above shl: %v vs %v", gx, gs)
 	}
@@ -176,6 +176,36 @@ func TestSeedsDispersedAndDeterministic(t *testing.T) {
 	}
 	if picks[2]-picks[0] < 20 {
 		t.Errorf("seeds not dispersed: %v", picks)
+	}
+}
+
+// TestSeedsDistinctOnFewUnfrozenNodes: with fewer unfrozen nodes than
+// Restarts-1 the dispersed picks collide; each collision would replay an
+// identical trajectory, so Seeds must return every singleton once.
+func TestSeedsDistinctOnFewUnfrozenNodes(t *testing.T) {
+	bu := ir.NewBuilder("few", 1)
+	a, b := bu.Input("a"), bu.Input("b")
+	s := bu.Add(a, b)
+	x := bu.Xor(s, a)
+	bu.LiveOut(x)
+	blk := bu.MustBuild()
+
+	cfg := DefaultConfig()
+	cfg.Restarts = 4
+	eng, err := NewEngine(blk, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := eng.Seeds()
+	if len(seeds) != 3 {
+		t.Fatalf("got %d seeds, want 3 (empty cut plus one per unfrozen node)", len(seeds))
+	}
+	for i := range seeds {
+		for j := i + 1; j < len(seeds); j++ {
+			if seeds[i].Equal(seeds[j]) {
+				t.Fatalf("seeds %d and %d are both %v", i, j, seeds[i])
+			}
+		}
 	}
 }
 

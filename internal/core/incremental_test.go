@@ -1,30 +1,31 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/dfggen"
 	"repro/internal/graph"
 	"repro/internal/ir"
 	"repro/internal/kernels"
 )
 
-// trajectoriesOf runs every restart trajectory of a fresh engine and
-// returns the per-seed snapshot pools. fullRebuild routes the engine
-// through the non-incremental reference paths (full gain-context rebuild
-// and full critical-path sweep on every toggle).
-func trajectoriesOf(t *testing.T, blk *ir.Block, cfg Config, excluded *graph.BitSet, fullRebuild bool) [][]Candidate {
+// pinTrajectories runs every restart trajectory of a fresh engine both
+// through Engine.Trajectory and through refTrajectory and requires the two
+// snapshot pools to be bit-identical.
+func pinTrajectories(t *testing.T, name string, blk *ir.Block, cfg Config, excluded *graph.BitSet) {
 	t.Helper()
 	eng, err := NewEngine(blk, cfg, excluded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.fullRebuild = fullRebuild
-	var out [][]Candidate
+	var want, got [][]Candidate
 	for _, seed := range eng.Seeds() {
-		out = append(out, eng.Trajectory(seed))
+		want = append(want, refTrajectory(eng, seed))
+		got = append(got, eng.Trajectory(seed))
 	}
-	return out
+	assertSameTrajectories(t, name, want, got)
 }
 
 // assertSameTrajectories requires two trajectory pools to be bit-identical:
@@ -32,37 +33,35 @@ func trajectoriesOf(t *testing.T, blk *ir.Block, cfg Config, excluded *graph.Bit
 func assertSameTrajectories(t *testing.T, name string, want, got [][]Candidate) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: %d seeds full vs %d incremental", name, len(want), len(got))
+		t.Fatalf("%s: %d seeds want vs %d got", name, len(want), len(got))
 	}
 	for si := range want {
 		if len(want[si]) != len(got[si]) {
-			t.Fatalf("%s seed %d: %d snapshots full vs %d incremental", name, si, len(want[si]), len(got[si]))
+			t.Fatalf("%s seed %d: %d snapshots want vs %d got", name, si, len(want[si]), len(got[si]))
 		}
 		for i := range want[si] {
 			w, g := want[si][i], got[si][i]
 			if !w.Nodes.Equal(g.Nodes) {
-				t.Fatalf("%s seed %d snapshot %d: cut %v full vs %v incremental", name, si, i, w.Nodes, g.Nodes)
+				t.Fatalf("%s seed %d snapshot %d: cut %v want vs %v got", name, si, i, w.Nodes, g.Nodes)
 			}
 			if w.Merit != g.Merit {
-				t.Fatalf("%s seed %d snapshot %d: merit %v full vs %v incremental (must be bit-identical)", name, si, i, w.Merit, g.Merit)
+				t.Fatalf("%s seed %d snapshot %d: merit %v want vs %v got (must be bit-identical)", name, si, i, w.Merit, g.Merit)
 			}
 		}
 	}
 }
 
-// TestIncrementalTrajectoryPinning pins the incremental hot path — the
-// slot-maintained component table of the α5 gain term and the incremental
-// critical-path update on Toggle-adds — against the full-rebuild reference
-// on random blocks: every restart trajectory must pass through exactly the
-// same snapshots with exactly the same merits.
+// TestIncrementalTrajectoryPinning pins the incremental hot path — probe
+// digests, the slot-maintained component table of the α5 gain term and
+// the incremental critical-path updates on Toggle — against refTrajectory
+// on random blocks: every restart trajectory must pass through exactly
+// the same snapshots with exactly the same merits.
 func TestIncrementalTrajectoryPinning(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260726))
 	cfg := DefaultConfig()
 	for trial := 0; trial < 30; trial++ {
 		blk := randKernelBlock(rng, 8+rng.Intn(60))
-		full := trajectoriesOf(t, blk, cfg, nil, true)
-		incr := trajectoriesOf(t, blk, cfg, nil, false)
-		assertSameTrajectories(t, blk.Name, full, incr)
+		pinTrajectories(t, blk.Name, blk, cfg, nil)
 	}
 }
 
@@ -78,12 +77,9 @@ func TestIncrementalTrajectoryPinningKernels(t *testing.T) {
 			for _, blk := range spec.App.Blocks {
 				excluded := graph.NewBitSet(blk.N())
 				// Two driver rounds: the second freezes the first
-				// round's best cut, exercising pooled-state reuse
-				// against a changed frozen set.
+				// round's best cut, exercising a changed frozen set.
 				for round := 0; round < 2; round++ {
-					full := trajectoriesOf(t, blk, cfg, excluded, true)
-					incr := trajectoriesOf(t, blk, cfg, excluded, false)
-					assertSameTrajectories(t, spec.Name+"/"+blk.Name, full, incr)
+					pinTrajectories(t, spec.Name+"/"+blk.Name, blk, cfg, excluded)
 
 					eng, err := NewEngine(blk, cfg, excluded)
 					if err != nil {
@@ -100,13 +96,58 @@ func TestIncrementalTrajectoryPinningKernels(t *testing.T) {
 	}
 }
 
+// gainCacheBlockCount sizes TestGainCacheTrajectoryPinning's sweep.
+const gainCacheBlockCount = 500
+
+// gainCacheCase derives the generator shape and port limits of one sweep
+// seed: the same five profiles as the differential gate's pinned cases
+// (port tightness, memory density, graph shape).
+func gainCacheCase(seed int64) (p dfggen.Params, maxIn, maxOut int) {
+	p = dfggen.DefaultParams()
+	maxIn, maxOut = 4, 2
+	switch seed % 5 {
+	case 1: // tight ports: feasibility boundary stress
+		maxIn, maxOut = 2, 1
+	case 2: // larger, memory-heavy blocks: forbidden-op placement
+		p.MinNodes, p.MaxNodes = 10, 20
+		p.MemFrac = 0.3
+	case 3: // broad shallow graphs under generous ports
+		p.Locality = 0
+		p.InputFrac = 0.45
+		maxIn, maxOut = 6, 3
+	case 4: // deep chains, immediate-heavy, single-input pool
+		p.Locality = 2
+		p.ImmFrac = 0.3
+		p.MaxInputs = 2
+		p.MotifFrac = 0.5
+	}
+	return p, maxIn, maxOut
+}
+
+// TestGainCacheTrajectoryPinning is the property sweep for the O(1)
+// candidate-gain cache: across generated blocks spanning the pinned
+// profile spread, every K-L trajectory must be bit-identical — same
+// snapshot count, same cut bits, same float merits — to refTrajectory
+// from the same seed. This guards that the digest invalidation/patching
+// rules never let a stale entry reach a gain decision.
+func TestGainCacheTrajectoryPinning(t *testing.T) {
+	for seed := int64(1); seed <= gainCacheBlockCount; seed++ {
+		p, maxIn, maxOut := gainCacheCase(seed)
+		blk := dfggen.Block(dfggen.Seeded(8000+seed), p)
+		cfg := DefaultConfig()
+		cfg.MaxIn, cfg.MaxOut = maxIn, maxOut
+		pinTrajectories(t, fmt.Sprintf("seed %d", seed), blk, cfg, nil)
+	}
+}
+
 // TestIncrementalCPToggleSequences pins the incremental critical-path
 // maintenance — addCPUpdate and removeCPUpdate, including the remove
-// path's is-critical classification — against the full recomputeCP sweep
+// path's is-critical classification — against SetCut's full relabel sweep
 // on long random toggle sequences: after every single toggle, level, tail
-// and hwCP must be bit-identical between a normal State and one forced
-// through the full sweep. Random sequences revisit nodes, so removals hit
-// both critical and non-critical nodes in cuts of every shape.
+// and hwCP must be bit-identical between a toggled State and a second one
+// that only ever receives SetCut of the first one's cut. Random sequences
+// revisit nodes, so removals hit both critical and non-critical nodes in
+// cuts of every shape.
 func TestIncrementalCPToggleSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	cfg := DefaultConfig()
@@ -114,7 +155,6 @@ func TestIncrementalCPToggleSequences(t *testing.T) {
 		blk := randKernelBlock(rng, 10+rng.Intn(50))
 		incr := NewState(blk, cfg.Model, nil)
 		full := NewState(blk, cfg.Model, nil)
-		full.fullCP = true
 		var free []int
 		for v := 0; v < blk.N(); v++ {
 			if !incr.Frozen.Has(v) {
@@ -127,7 +167,7 @@ func TestIncrementalCPToggleSequences(t *testing.T) {
 		for step := 0; step < 4*len(free); step++ {
 			v := free[rng.Intn(len(free))]
 			incr.Toggle(v)
-			full.Toggle(v)
+			full.SetCut(incr.H)
 			if incr.hwCP != full.hwCP {
 				t.Fatalf("%s step %d (toggle %d): hwCP %v incremental vs %v full", blk.Name, step, v, incr.hwCP, full.hwCP)
 			}
@@ -140,6 +180,52 @@ func TestIncrementalCPToggleSequences(t *testing.T) {
 			if incr.Merit() != full.Merit() {
 				t.Fatalf("%s step %d: merit %v incremental vs %v full", blk.Name, step, incr.Merit(), full.Merit())
 			}
+		}
+	}
+}
+
+// TestGainContextMatchesRebuild pins the slot-maintained component table
+// of the α5 term against a from-scratch rebuild: one State takes random
+// toggles, one gain context follows them through noteToggle, a second one
+// is rebuilt before every comparison, and every candidate's gain must be
+// bit-identical between the two. The trajectory pins compare only argmax
+// decisions, which a slightly wrong α5 term can leave unchanged.
+func TestGainContextMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261018))
+	cfg := DefaultConfig()
+	for trial := 0; trial < 25; trial++ {
+		blk := randKernelBlock(rng, 10+rng.Intn(50))
+		st := NewState(blk, cfg.Model, nil)
+		incr := &trajectory{cfg: &cfg, st: st}
+		ref := &trajectory{cfg: &cfg, st: st}
+		var free []int
+		for v := 0; v < blk.N(); v++ {
+			if !st.Frozen.Has(v) {
+				free = append(free, v)
+			}
+		}
+		if len(free) == 0 {
+			continue
+		}
+		for step := 0; step < 4*len(free); step++ {
+			v := free[rng.Intn(len(free))]
+			st.Toggle(v)
+			incr.gc.noteToggle(st, v)
+			incr.prepareGainContext()
+			ref.gc.rebuild(st)
+			ref.prepareGainContext()
+			if incr.gc.totalCP != ref.gc.totalCP {
+				t.Fatalf("%s step %d (toggle %d): totalCP %v incremental vs %v rebuilt", blk.Name, step, v, incr.gc.totalCP, ref.gc.totalCP)
+			}
+			for _, u := range free {
+				eff := probeRef(st, u)
+				if gi, gr := incr.gain(u, eff), ref.gain(u, eff); gi != gr {
+					t.Fatalf("%s step %d (toggle %d): gain(%d) %v incremental vs %v rebuilt", blk.Name, step, v, u, gi, gr)
+				}
+			}
+		}
+		if incr.gc.rebuilds >= ref.gc.rebuilds {
+			t.Fatalf("%s: incremental context rebuilt %d times of %d steps, want fewer", blk.Name, incr.gc.rebuilds, ref.gc.rebuilds)
 		}
 	}
 }

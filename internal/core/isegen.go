@@ -128,9 +128,6 @@ type Engine struct {
 	// instead of one per seed. Pooled snapshots are never reclaimed (the
 	// arena only batches allocation), so handing them to Finalize is safe.
 	pool sync.Pool
-	// fullRebuild routes every trajectory through the non-incremental
-	// gain-context/critical-path paths; the pinning tests compare both.
-	fullRebuild bool
 }
 
 // NewEngine prepares a bi-partition engine for the block. Nodes in excluded
@@ -198,7 +195,8 @@ func (e *Engine) Candidates() []*Cut {
 // Seeds returns the restart start configurations: the empty cut first,
 // then singleton cuts at unfrozen nodes evenly dispersed along the
 // topological order, so each restart explores a different region of large
-// DFGs.
+// DFGs. The singletons are distinct: a block with fewer unfrozen nodes than
+// Restarts-1 gets one per unfrozen node.
 func (e *Engine) Seeds() []*graph.BitSet {
 	st := e.state
 	out := []*graph.BitSet{graph.NewBitSet(st.n)}
@@ -215,11 +213,19 @@ func (e *Engine) Seeds() []*graph.BitSet {
 	if len(unfrozen) == 0 {
 		return out
 	}
+	prev := -1
 	for r := 0; r < extra; r++ {
 		idx := (2*r + 1) * len(unfrozen) / (2 * extra)
 		if idx >= len(unfrozen) {
 			idx = len(unfrozen) - 1
 		}
+		// idx never decreases, so with fewer unfrozen nodes than extra
+		// restarts a repeated pick is always the previous one; its
+		// trajectory would only replay the previous seed's.
+		if idx == prev {
+			continue
+		}
+		prev = idx
 		seed := graph.NewBitSet(st.n)
 		seed.Set(unfrozen[idx])
 		out = append(out, seed)
@@ -262,13 +268,11 @@ func (e *Engine) TrajectoryContext(ctx context.Context, seed *graph.BitSet) ([]C
 	if rec := obs.FromContext(ctx); rec != nil {
 		rec.Add(obs.KLToggles, o.toggles)
 		rec.Add(obs.KLProbes, o.probes)
-		rec.Add(obs.KLCPIncremental, o.cpInc)
 		rec.Add(obs.KLCPFullSweeps, o.cpFull)
 		rec.Add(obs.KLGainRebuilds, rebuilds)
 		rec.Add(obs.KLGainCacheHits, o.gainHits)
 		rec.Add(obs.KLGainCacheMisses, o.gainMisses)
 		rec.Add(obs.KLCPCriticalInc, o.cpCriticalInc)
-		rec.Add(obs.KLSetCutIncremental, o.setCutInc)
 		if reused {
 			rec.Add(obs.KLPoolHits, 1)
 		} else {
@@ -291,7 +295,6 @@ func (e *Engine) getTrajectory() (*trajectory, bool) {
 		t.ctxErr = nil
 		t.steps = 0
 		t.gc.invalidate()
-		e.setRebuildMode(t)
 		return t, true
 	}
 	n := e.blk.N()
@@ -303,26 +306,8 @@ func (e *Engine) getTrajectory() (*trajectory, bool) {
 		best:    graph.NewBitSet(n),
 		arena:   graph.NewBitSetArena(n),
 	}
-	e.setRebuildMode(t)
 	return t, false
 }
-
-// setRebuildMode syncs a workspace's incremental-vs-reference switches
-// with the engine's fullRebuild flag. Pooled workspaces re-sync on every
-// checkout so a SetFullRebuild call between trajectories takes effect.
-func (e *Engine) setRebuildMode(t *trajectory) {
-	t.st.fullCP = e.fullRebuild
-	t.st.digestOff = e.fullRebuild
-	t.gc.noIncremental = e.fullRebuild
-}
-
-// SetFullRebuild routes every subsequent trajectory through the
-// non-incremental reference paths: full critical-path sweeps per toggle
-// and SetCut, uncached probes, gain-context relabels every step. The
-// pinning tests and the differential harness compare both modes
-// bit-for-bit; production callers never need it. Not safe to call
-// concurrently with running trajectories.
-func (e *Engine) SetFullRebuild(on bool) { e.fullRebuild = on }
 
 // putTrajectory returns a workspace to the pool. The snapshot slice was
 // handed to the caller, so only the reference is dropped here (by
@@ -528,7 +513,7 @@ func (t *trajectory) selectBestGain() int {
 		if t.marked.Has(v) || t.st.Frozen.Has(v) {
 			continue
 		}
-		g := t.gain(v)
+		g := t.gain(v, t.st.Probe(v))
 		if best < 0 || g > bestGain {
 			best, bestGain = v, g
 		}

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/ir"
+	"repro/internal/kernels"
 	"repro/internal/latency"
+	"repro/internal/obs"
 )
 
 func mustBipartition(t *testing.T, blk *ir.Block, cfg Config) *Cut {
@@ -281,5 +284,48 @@ func BenchmarkBipartitionMedium(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng.Bipartition()
+	}
+}
+
+// TestTrajectoryFullSweepCounter: K-L calls SetCut once at the start and
+// once per pass, and only SetCut relabels with a full sweep, so one
+// trajectory reports at most MaxPasses+1 sweeps — and at least one from a
+// non-empty seed, which SetCut must apply to the fresh all-software State.
+func TestTrajectoryFullSweepCounter(t *testing.T) {
+	cfg := DefaultConfig()
+	checked := 0
+	for _, spec := range kernels.All() {
+		for _, blk := range spec.App.Blocks {
+			first, err := NewEngine(blk, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si, seed := range first.Seeds() {
+				// A fresh engine per seed: its State starts all-software.
+				eng, err := NewEngine(blk, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := obs.NewRecorder(0)
+				if _, err := eng.TrajectoryContext(obs.WithRecorder(context.Background(), rec), seed); err != nil {
+					t.Fatal(err)
+				}
+				sweeps := rec.Counters().Get(obs.KLCPFullSweeps)
+				if sweeps > int64(cfg.MaxPasses+1) {
+					t.Fatalf("%s/%s seed %d: %d full sweeps, want at most MaxPasses+1 = %d",
+						spec.Name, blk.Name, si, sweeps, cfg.MaxPasses+1)
+				}
+				if !seed.Empty() {
+					checked++
+					if sweeps < 1 {
+						t.Fatalf("%s/%s seed %d: %d full sweeps from a non-empty seed, want at least 1",
+							spec.Name, blk.Name, si, sweeps)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no non-empty seed was checked")
 	}
 }

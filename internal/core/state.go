@@ -71,10 +71,6 @@ type State struct {
 	// must be recomputed after a Toggle-add. Kept empty between updates.
 	cpDirtyDown *graph.BitSet
 	cpDirtyUp   *graph.BitSet
-	// fullCP forces the full recomputeCP sweep on every toggle; the
-	// pinning tests use it to check the incremental add and remove paths
-	// bit-for-bit.
-	fullCP bool
 	// version counts partition mutations (one per added/removed node). The
 	// gain context compares it against the last mutation it observed, so a
 	// toggle it was not told about forces a label rebuild instead of
@@ -96,12 +92,9 @@ type State struct {
 	// the valid bits if it ever trails s.version, so a mutation path that
 	// bypassed the hooks can go stale-silent only by also forgetting to
 	// bump version — which would already break the gain context's guard.
-	// digestOff routes Probe through the uncached reference path (the
-	// fullRebuild pinning shim).
 	digest      []probeDigest
 	digestValid *graph.BitSet
 	digestVer   uint64
-	digestOff   bool
 
 	// Observability tallies. Plain (non-atomic) integers: a State is
 	// single-goroutine, and the hot loops pay one register increment
@@ -110,12 +103,10 @@ type State struct {
 	// leak counts across jobs.
 	nToggles      int64
 	nProbes       int64
-	cpIncremental int64
 	cpFullSweeps  int64
 	gainHits      int64
 	gainMisses    int64
 	cpCriticalInc int64
-	setCutInc     int64
 }
 
 // NewState returns the all-software partition for the block. Nodes in
@@ -239,31 +230,18 @@ func (s *State) Feasible(maxIn, maxOut int) bool {
 // removeCPUpdate restores every level/tail label for any removal, and
 // when v was critical — the only case where hwCP itself may shrink —
 // the new hwCP is re-derived by one O(|H|) max scan over the (tiny) cut
-// (see removeWithCPUpdate) instead of the O(V+E) sweep. Only the fullCP
-// pinning mode still sweeps per toggle.
+// (see removeWithCPUpdate) instead of the O(V+E) sweep. The tests pin both
+// paths against SetCut's full sweep.
 func (s *State) Toggle(v int) {
 	if s.Frozen.Has(v) {
 		panic("core: Toggle of frozen node")
 	}
 	s.nToggles++
 	if s.H.Has(v) {
-		if s.fullCP {
-			s.removeNode(v)
-			s.cpFullSweeps++
-			s.recomputeCP()
-		} else {
-			s.cpIncremental++
-			s.removeWithCPUpdate(v)
-		}
+		s.removeWithCPUpdate(v)
 	} else {
 		s.addNode(v)
-		if s.fullCP {
-			s.cpFullSweeps++
-			s.recomputeCP()
-		} else {
-			s.cpIncremental++
-			s.addCPUpdate(v)
-		}
+		s.addCPUpdate(v)
 	}
 }
 
@@ -300,9 +278,9 @@ func (s *State) rebuildHWCP() {
 
 // stateObs is one drain of the per-State observability tallies.
 type stateObs struct {
-	toggles, probes, cpInc, cpFull int64
-	gainHits, gainMisses           int64
-	cpCriticalInc, setCutInc       int64
+	toggles, probes, cpFull int64
+	gainHits, gainMisses    int64
+	cpCriticalInc           int64
 }
 
 // drainObs returns and clears the observability tallies. Called at
@@ -310,67 +288,29 @@ type stateObs struct {
 // even though the State itself is pooled.
 func (s *State) drainObs() stateObs {
 	o := stateObs{
-		toggles: s.nToggles, probes: s.nProbes,
-		cpInc: s.cpIncremental, cpFull: s.cpFullSweeps,
+		toggles: s.nToggles, probes: s.nProbes, cpFull: s.cpFullSweeps,
 		gainHits: s.gainHits, gainMisses: s.gainMisses,
-		cpCriticalInc: s.cpCriticalInc, setCutInc: s.setCutInc,
+		cpCriticalInc: s.cpCriticalInc,
 	}
-	s.nToggles, s.nProbes, s.cpIncremental, s.cpFullSweeps = 0, 0, 0, 0
-	s.gainHits, s.gainMisses, s.cpCriticalInc, s.setCutInc = 0, 0, 0, 0
+	s.nToggles, s.nProbes, s.cpFullSweeps = 0, 0, 0
+	s.gainHits, s.gainMisses, s.cpCriticalInc = 0, 0, 0
 	return o
 }
 
-// setCutDeltaMax bounds |H △ cut| for SetCut's incremental path. K-L
-// resets between passes move a handful of nodes; a delta this small is
-// far cheaper to apply as individual incremental updates than to pay the
-// O(V+E) relabel sweep. Larger deltas (fresh restart seeds on big blocks,
-// the baselines' arbitrary cuts) take the sweep, which also stays the
-// pinning reference for the delta path.
-const setCutDeltaMax = 32
-
 // SetCut resets the partition to exactly the given cut (which must contain
-// no frozen nodes). Small symmetric differences are applied as individual
-// addNode/removeNode steps with incremental critical-path updates — each
-// step leaves the exact invariant state a full sweep would, so the final
-// labels are bit-identical to the fallback sweep by induction.
+// no frozen nodes): removeNode/addNode on the symmetric difference, then
+// one recomputeCP relabel sweep. K-L calls it once per pass, and each pass
+// toggles every unfrozen node, so the next pass's reset jumps across most
+// of the block; replaying small deltas as incremental updates measured no
+// faster (DESIGN.md, "Which layers pay").
 func (s *State) SetCut(cut *graph.BitSet) {
-	// Count the symmetric difference first (word-level NextSet walks over
-	// the sets themselves; the cuts are tiny relative to n).
-	delta := 0
-	for v := s.H.NextSet(0); v >= 0; v = s.H.NextSet(v + 1) {
-		if !cut.Has(v) {
-			delta++
-		}
+	if cut.Intersects(s.Frozen) {
+		panic("core: SetCut includes frozen node")
 	}
-	for v := cut.NextSet(0); v >= 0; v = cut.NextSet(v + 1) {
-		if !s.H.Has(v) {
-			if s.Frozen.Has(v) {
-				panic("core: SetCut includes frozen node")
-			}
-			delta++
-		}
+	if cut.Equal(s.H) {
+		return // every invariant already holds
 	}
-	if delta == 0 {
-		return // H already equals cut; every invariant already holds
-	}
-	if !s.fullCP && delta <= setCutDeltaMax {
-		s.setCutInc++
-		// Remove extras (H \ cut), then add missing (cut \ H) — the same
-		// order the sweep path mutates in.
-		for v := s.H.NextSet(0); v >= 0; v = s.H.NextSet(v + 1) {
-			if !cut.Has(v) {
-				s.removeWithCPUpdate(v)
-			}
-		}
-		for v := cut.NextSet(0); v >= 0; v = cut.NextSet(v + 1) {
-			if !s.H.Has(v) {
-				s.addNode(v)
-				s.addCPUpdate(v)
-			}
-		}
-		return
-	}
-	// Full path: the wholesale digest reset below subsumes per-node
+	// The wholesale digest reset in recomputeCP subsumes per-node
 	// invalidation, so suspend the walk while the loops run.
 	suspended := s.digest
 	s.digest = nil
@@ -385,6 +325,7 @@ func (s *State) SetCut(cut *graph.BitSet) {
 		}
 	}
 	s.digest = suspended
+	s.cpFullSweeps++
 	s.recomputeCP()
 }
 
@@ -531,8 +472,9 @@ func (s *State) patchCone(mask *graph.BitSet, inH bool, kind, delta int) {
 }
 
 // digestMutate repairs the probe-digest cache after the toggle of v,
-// matched read-for-read against ioAfter, convexAfter and cpAfter (see
-// DESIGN.md, "O(1) candidate gains").
+// matched read-for-read against the uncached I/O replay, convexity scan
+// and critical-path query that computeDigest runs (see DESIGN.md, "O(1)
+// candidate gains").
 //
 // The neighbourhood rules invalidate outright: v itself (its toggle
 // direction flipped), Preds(v) and Succs(v) (they read H(v) in the I/O
@@ -692,9 +634,8 @@ func (s *State) updateViol(x int) {
 }
 
 // recomputeCP rebuilds level, tail and hwCP for the current H in one
-// topological sweep: O(V+E). Since PR's incremental paths took over the
-// steady state, this runs only for large SetCut deltas and the fullCP
-// pinning mode. Every label may move, so the digest cache is reset
+// topological sweep: O(V+E). Toggle maintains the labels incrementally, so
+// only SetCut runs it. Every label may move, so the digest cache is reset
 // wholesale.
 func (s *State) recomputeCP() {
 	if s.digest != nil {
@@ -920,7 +861,8 @@ func (s *State) removeCPUpdate(v int) {
 
 // ToggleEffect is the predicted outcome of toggling one node, computed
 // without mutating the state. Critical-path predictions for removals of
-// critical nodes are conservative upper bounds (see cpAfter).
+// critical nodes are conservative upper bounds: the current hwCP is
+// returned, and the exact value is restored when the toggle commits.
 type ToggleEffect struct {
 	NumIn, NumOut int
 	Convex        bool
@@ -936,8 +878,8 @@ type ToggleEffect struct {
 type probeDigest struct {
 	// dIn/dOut are the I/O replay's port deltas against numIn/numOut.
 	dIn, dOut int
-	// levelIn/tailOut bound the new through-path for an addition
-	// (cpAfter's max over in-H predecessors/successors).
+	// levelIn/tailOut bound the new through-path for an addition: the
+	// max level over in-H predecessors and tail over in-H successors.
 	levelIn, tailOut float64
 	// pDescCnt/qAncCnt count, for an addition, the fresh convexity
 	// violators it would create — the P witnesses among v's descendants
@@ -961,14 +903,10 @@ type probeDigest struct {
 // flip or an aCnt/dCnt boundary crossing, or a critical-path label next
 // to v moved. Recombination reproduces the uncached arithmetic
 // expression-for-expression, so the returned ToggleEffect is bit-for-bit
-// identical to the reference path (including the conservative
-// critical-removal upper bound in HWCP).
+// identical to a from-scratch probe (probeRef in the tests), including the
+// conservative critical-removal upper bound in HWCP.
 func (s *State) Probe(v int) ToggleEffect {
 	adding := !s.H.Has(v)
-	if s.digestOff {
-		s.nProbes++
-		return s.probeFresh(v, adding)
-	}
 	if s.digest == nil {
 		s.digest = make([]probeDigest, s.n)
 		s.digestValid = graph.NewBitSet(s.n)
@@ -1008,26 +946,9 @@ func (s *State) Probe(v int) ToggleEffect {
 	return eff
 }
 
-// probeFresh is the uncached reference Probe: the full I/O replay,
-// convexity scan and critical-path query. The fullRebuild pinning shim
-// routes here (digestOff), and computeDigest derives the cached entries
-// from the same helpers, so cached and fresh probes share every
-// arithmetic expression.
-func (s *State) probeFresh(v int, adding bool) ToggleEffect {
-	var eff ToggleEffect
-	eff.NumIn, eff.NumOut = s.ioAfter(v, adding)
-	eff.Convex = s.convexAfter(v, adding)
-	if adding {
-		eff.SWSum = s.swSum + s.swLat[v]
-	} else {
-		eff.SWSum = s.swSum - s.swLat[v]
-	}
-	eff.HWCP = s.cpAfter(v, adding)
-	return eff
-}
-
 // computeDigest fills d with the candidate-local half of Probe(v) for the
-// current toggle direction, using the same scans as the reference path.
+// current toggle direction: the exact I/O replay, the full convexity
+// witness counts and the through-path query.
 func (s *State) computeDigest(v int, adding bool, d *probeDigest) {
 	in, out := s.ioAfter(v, adding)
 	d.dIn, d.dOut = in-s.numIn, out-s.numOut
@@ -1126,83 +1047,6 @@ func (s *State) ioAfter(v int, adding bool) (in, out int) {
 		}
 	}
 	return in, out
-}
-
-// convexAfter reports whether the cut is convex after toggling v.
-func (s *State) convexAfter(v int, adding bool) bool {
-	dag := s.Blk.DAG()
-	if adding {
-		// Adding can only remove v itself from the violator set and
-		// create violators among v's ancestors/descendants.
-		base := s.nviol
-		if s.viol.Has(v) {
-			base--
-		}
-		if base > 0 {
-			return false
-		}
-		found := false
-		dag.Desc(v).ForEach(func(x int) bool {
-			if x != v && !s.H.Has(x) && s.aCnt[x] == 0 && s.dCnt[x] > 0 {
-				found = true
-				return false
-			}
-			return true
-		})
-		if found {
-			return false
-		}
-		dag.Anc(v).ForEach(func(x int) bool {
-			if x != v && !s.H.Has(x) && s.dCnt[x] == 0 && s.aCnt[x] > 0 {
-				found = true
-				return false
-			}
-			return true
-		})
-		return !found
-	}
-	// Removing v: v may become a violator; existing violators may be fixed.
-	if s.aCnt[v] > 0 && s.dCnt[v] > 0 {
-		return false
-	}
-	ok := true
-	desc, anc := dag.Desc(v), dag.Anc(v)
-	s.viol.ForEach(func(x int) bool {
-		fixed := (desc.Has(x) && s.aCnt[x] == 1) || (anc.Has(x) && s.dCnt[x] == 1)
-		if !fixed {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
-// cpAfter predicts the hardware critical path after toggling v. Additions
-// are exact: the only new paths run through v. Removals are exact when v is
-// not on a critical path; otherwise the current value is returned as a
-// conservative upper bound and the exact value is restored on commit.
-func (s *State) cpAfter(v int, adding bool) float64 {
-	dag := s.Blk.DAG()
-	if adding {
-		levelIn, tailOut := 0.0, 0.0
-		for _, p := range dag.Preds(v) {
-			if s.H.Has(p) && s.level[p] > levelIn {
-				levelIn = s.level[p]
-			}
-		}
-		for _, c := range dag.Succs(v) {
-			if s.H.Has(c) && s.tail[c] > tailOut {
-				tailOut = s.tail[c]
-			}
-		}
-		through := levelIn + s.hwLat[v] + tailOut
-		return math.Max(s.hwCP, through)
-	}
-	// Removing a node not on any critical path leaves hwCP unchanged
-	// (exact). For a critical node the true value is lower; returning the
-	// current hwCP is a conservative upper bound, corrected on commit.
-	return s.hwCP
 }
 
 // Cut returns a copy of the current hardware set.

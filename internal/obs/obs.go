@@ -79,17 +79,15 @@ type Counter int
 
 const (
 	// K-L heuristic (internal/core).
-	KLToggles           Counter = iota // node moves applied across trajectories
-	KLProbes                           // gain probes (cut evaluations without commitment)
-	KLCPIncremental                    // critical-path updates served by the incremental fast path
-	KLCPFullSweeps                     // critical-path updates that fell back to a full relabel sweep
-	KLGainRebuilds                     // incremental gain-context rebuilds (full relabels)
-	KLGainCacheHits                    // probes served from the cached digest table
-	KLGainCacheMisses                  // probe digests recomputed after locality invalidation
-	KLCPCriticalInc                    // critical-node removals handled without a full sweep
-	KLSetCutIncremental                // SetCut calls applied via the small-delta path
-	KLPoolHits                         // trajectory workspaces reused from the pool
-	KLPoolMisses                       // trajectory workspaces built fresh
+	KLToggles         Counter = iota // node moves applied across trajectories
+	KLProbes                         // gain probes (cut evaluations without commitment)
+	KLCPFullSweeps                   // SetCut critical-path relabel sweeps (Toggle updates incrementally)
+	KLGainRebuilds                   // incremental gain-context rebuilds (full relabels)
+	KLGainCacheHits                  // probes served from the cached digest table
+	KLGainCacheMisses                // probe digests recomputed after locality invalidation
+	KLCPCriticalInc                  // critical-node removals handled without a full sweep
+	KLPoolHits                       // trajectory workspaces reused from the pool
+	KLPoolMisses                     // trajectory workspaces built fresh
 
 	// Exact branch-and-bound (internal/exact).
 	ExactExplored     // search-tree nodes expanded
@@ -120,13 +118,11 @@ const (
 var counterNames = [numCounters]string{
 	"kl_toggles",
 	"kl_probes",
-	"kl_cp_incremental",
 	"kl_cp_full_sweeps",
 	"kl_gain_rebuilds",
 	"kl_gaincache_hits",
 	"kl_gaincache_misses",
 	"kl_cp_critical_inc",
-	"kl_setcut_incremental",
 	"kl_pool_hits",
 	"kl_pool_misses",
 	"exact_explored",
