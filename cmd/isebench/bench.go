@@ -114,7 +114,8 @@ func measure(name string, fn func()) benchRecord {
 // benchSuites are the Figure 4 and Figure 6 measurement points, each as a
 // sequential / parallel pair so the perf trajectory captures both the
 // allocation work (visible on any machine) and the fan-out speedup
-// (visible on multi-core hosts only). Each suite takes the harness
+// (visible on multi-core hosts only), plus the Figure 7 instance matcher
+// (single-threaded, so it has no pair). Each suite takes the harness
 // context, which carries a counters-only recorder so the record can
 // report work deltas next to ns/op.
 func benchSuites() []struct {
@@ -190,6 +191,23 @@ func benchSuites() []struct {
 			}
 		}
 	}
+	// fig7Reuse measures the instance matcher alone, as
+	// BenchmarkFigure7Reuse does: the xtime cut ISEGEN selects on AES
+	// under (2,1) is identified once, outside the measured call, and the
+	// suite finds its occurrences across the application.
+	fig7Reuse := func() func(context.Context) {
+		app := kernels.AES()
+		cfg := isegen.DefaultConfig()
+		cfg.MaxIn, cfg.MaxOut, cfg.NISE = 2, 1, 1
+		cuts, err := isegen.GenerateCutsOnly(app, cfg)
+		if err != nil {
+			fatal(err)
+		}
+		if len(cuts) == 0 {
+			fatal(fmt.Errorf("figure7/reuse: no cut on AES under (2,1)"))
+		}
+		return func(context.Context) { isegen.FindInstances(app, 0, cuts[0].Nodes, 0) }
+	}
 	return []struct {
 		name string
 		fn   func(ctx context.Context)
@@ -204,6 +222,7 @@ func benchSuites() []struct {
 		{"figure4/racing/par", fig4Racing(0, -1)},
 		{"figure6/aes/seq", fig6AES(1)},
 		{"figure6/aes/par", fig6AES(0)},
+		{"figure7/reuse", fig7Reuse()},
 	}
 }
 

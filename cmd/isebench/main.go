@@ -13,9 +13,10 @@
 //	isebench -area      only the AFU area-budget study
 //	isebench -json      measure the Figure 4/6 suites (ns/op, allocs/op,
 //	                    engine work-counter deltas; sequential vs parallel)
-//	                    and write BENCH_<rev>.json — the repository's
-//	                    tracked perf trajectory; the checked-in
-//	                    BENCH_baseline.json is one such file
+//	                    and the Figure 7 instance matcher, and write
+//	                    BENCH_<rev>.json — the repository's tracked perf
+//	                    trajectory; the checked-in BENCH_baseline.json is
+//	                    one such file
 //	isebench -diff BENCH_baseline.json BENCH_<rev>.json
 //	                    gate a fresh measurement against the baseline:
 //	                    exits non-zero when any suite's allocs/op regressed
@@ -47,7 +48,7 @@ func main() {
 		energy   = flag.Bool("energy", false, "run only the code-size/energy table")
 		area     = flag.Bool("area", false, "run only the AFU area-budget study")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = one per CPU core; results are identical)")
-		jsonOut  = flag.Bool("json", false, "measure the Figure 4/6 suites (sequential vs parallel, -benchtime=1x protocol) and write BENCH_<rev>.json instead of the tables")
+		jsonOut  = flag.Bool("json", false, "measure the Figure 4/6 suites (sequential vs parallel) and the Figure 7 matcher (-benchtime=1x protocol) and write BENCH_<rev>.json instead of the tables")
 		benchRev = flag.String("rev", "", "revision label for -json (default: the current git commit)")
 		benchOut = flag.String("out", "", `output path for -json ("-" = stdout; default BENCH_<rev>.json)`)
 		diffMode = flag.Bool("diff", false, "compare two BENCH json files (baseline fresh): exit non-zero on allocs/op regressions, warn on ns/op past -ns-tol")

@@ -98,7 +98,7 @@ func createsCycle(kept []claimInfo, nodes, desc *graph.BitSet) bool {
 func (c *Claimer) Claim(blockIdx int, cut *core.Cut, excluded []*graph.BitSet) Selection {
 	avail := make([]*graph.BitSet, len(c.app.Blocks))
 	for i, ex := range excluded {
-		avail[i] = complementOf(ex, c.app.Blocks[i].N())
+		avail[i] = ex.Complement()
 	}
 	avail[blockIdx].Or(cut.Nodes) // the matcher must see the seed occurrence
 
@@ -135,7 +135,7 @@ func (c *Claimer) CountInstances(blockIdx int, cut *core.Cut, excluded []*graph.
 	}
 	avail := make([]*graph.BitSet, len(c.app.Blocks))
 	for i, ex := range excluded {
-		avail[i] = complementOf(ex, c.app.Blocks[i].N())
+		avail[i] = ex.Complement()
 	}
 	avail[blockIdx].Or(cut.Nodes)
 	cands := reuse.FindAppInstances(c.app, blockIdx, cut.Nodes, avail, limit)
@@ -160,16 +160,6 @@ func (c *Claimer) CountInstances(blockIdx int, cut *core.Cut, excluded []*graph.
 		count++
 	}
 	return count
-}
-
-func complementOf(set *graph.BitSet, n int) *graph.BitSet {
-	out := graph.NewBitSet(n)
-	for v := 0; v < n; v++ {
-		if !set.Has(v) {
-			out.Set(v)
-		}
-	}
-	return out
 }
 
 // ClaimAllWithReuse converts a list of already-identified cuts (from any

@@ -83,6 +83,19 @@ func (b *BitSet) Clone() *BitSet {
 	return &BitSet{words: w, n: b.n}
 }
 
+// Complement returns a new set holding every value in [0, Cap()) that b
+// lacks, computed a word at a time.
+func (b *BitSet) Complement() *BitSet {
+	out := NewBitSet(b.n)
+	for i, w := range b.words {
+		out.words[i] = ^w
+	}
+	if tail := b.n % wordBits; tail != 0 {
+		out.words[len(out.words)-1] &= 1<<tail - 1
+	}
+	return out
+}
+
 // CopyFrom overwrites b with the contents of src (capacities must match).
 func (b *BitSet) CopyFrom(src *BitSet) {
 	if b.n != src.n {

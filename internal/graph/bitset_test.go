@@ -176,6 +176,32 @@ func TestBitSetCountProperty(t *testing.T) {
 	}
 }
 
+// Complement holds exactly the values in [0, Cap()) the set lacks, and none
+// past the capacity, at word boundaries and between them.
+func TestBitSetComplement(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 300} {
+		b := NewBitSet(n)
+		for v := 0; v < n; v++ {
+			if rng.Intn(3) == 0 {
+				b.Set(v)
+			}
+		}
+		c := b.Complement()
+		if c.Cap() != n {
+			t.Fatalf("n=%d: Complement capacity %d", n, c.Cap())
+		}
+		for v := 0; v < n; v++ {
+			if c.Has(v) == b.Has(v) {
+				t.Fatalf("n=%d: Complement.Has(%d) = %v, set.Has = %v", n, v, c.Has(v), b.Has(v))
+			}
+		}
+		if got := c.Count() + b.Count(); got != n {
+			t.Fatalf("n=%d: |set| + |complement| = %d (bits past capacity set?)", n, got)
+		}
+	}
+}
+
 // Property: De Morgan on random sets: |A∪B| = |A| + |B| - |A∩B|.
 func TestBitSetInclusionExclusionProperty(t *testing.T) {
 	f := func(av, bv []uint8) bool {

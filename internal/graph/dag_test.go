@@ -160,17 +160,55 @@ func TestIsConvex(t *testing.T) {
 	}
 }
 
-// Property: IsConvex agrees with the definition checked by explicit path
-// search on random DAGs and random cuts.
+// Property: IsConvex (the word-wise cone union) agrees with the definition
+// checked node by node, and with ConvexViolators, on random DAGs that fit
+// one word (2-19 nodes) and on DAGs spanning several words (65-300 nodes).
+// Cuts are drawn three ways — random subsets, a few scattered nodes, and
+// the closed interval between two related nodes with one member possibly
+// dropped — so both verdicts occur at every size.
 func TestIsConvexMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
+	var convex, nonConvex [2]int // indexed by multi-word
+	for trial := 0; trial < 400; trial++ {
+		multi := trial%2 == 1
 		n := 2 + rng.Intn(18)
-		g := randDAG(rng, n, 0.25)
+		p := 0.25
+		if multi {
+			n = 65 + rng.Intn(236)
+			p = 3 / float64(n)
+		}
+		g := randDAG(rng, n, p)
 		cut := NewBitSet(n)
-		for v := 0; v < n; v++ {
-			if rng.Float64() < 0.4 {
-				cut.Set(v)
+		switch trial / 2 % 3 {
+		case 0:
+			density := 0.4
+			if multi {
+				density = 0.05 * rng.Float64()
+			}
+			for v := 0; v < n; v++ {
+				if rng.Float64() < density {
+					cut.Set(v)
+				}
+			}
+		case 1:
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				cut.Set(rng.Intn(n))
+			}
+		case 2:
+			// {u, w} plus every node on a path between them: convex, unless
+			// the coin below drops an interior member.
+			u := rng.Intn(n)
+			cut.Set(u)
+			if d := g.Desc(u); !d.Empty() {
+				elems := d.Elems()
+				w := elems[rng.Intn(len(elems))]
+				cut.Set(w)
+				between := d.Clone()
+				between.And(g.Anc(w))
+				cut.Or(between)
+				if mid := between.Elems(); len(mid) > 0 && rng.Intn(2) == 0 {
+					cut.Clear(mid[rng.Intn(len(mid))])
+				}
 			}
 		}
 		// Definition: convex iff for no outside node x, anc(x)∩C and desc(x)∩C
@@ -184,9 +222,41 @@ func TestIsConvexMatchesDefinition(t *testing.T) {
 				want = false
 			}
 		}
-		if got := g.IsConvex(cut); got != want {
-			t.Fatalf("trial %d: IsConvex = %v, want %v (cut %v)", trial, got, want, cut)
+		got := g.IsConvex(cut)
+		if got != want {
+			t.Fatalf("trial %d (n=%d): IsConvex = %v, want %v (cut %v)", trial, n, got, want, cut)
 		}
+		if viol := g.ConvexViolators(cut); got != (len(viol) == 0) {
+			t.Fatalf("trial %d (n=%d): IsConvex = %v but ConvexViolators = %v", trial, n, got, viol)
+		}
+		m := 0
+		if multi {
+			m = 1
+		}
+		if got {
+			convex[m]++
+		} else {
+			nonConvex[m]++
+		}
+	}
+	for m, name := range []string{"one-word", "multi-word"} {
+		if convex[m] < 20 || nonConvex[m] < 20 {
+			t.Errorf("%s DAGs: %d convex and %d non-convex cuts; the generator must exercise both verdicts", name, convex[m], nonConvex[m])
+		}
+	}
+}
+
+// IsConvex runs inside the reuse matcher's accept step, once per completed
+// mapping, so it must not allocate.
+func TestIsConvexAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := randDAG(rng, 300, 0.01)
+	cut := NewBitSet(300)
+	for v := 0; v < 300; v += 7 {
+		cut.Set(v)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.IsConvex(cut) }); allocs != 0 {
+		t.Fatalf("IsConvex allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -28,29 +28,43 @@ import (
 // pattern is the preprocessed form of a cut to match against.
 type pattern struct {
 	blk   *ir.Block
-	nodes []int       // pattern node IDs in match order
-	pos   map[int]int // node ID -> index in nodes
+	nodes []int // pattern node IDs in match order
+	// pos[v-lo] is the index in nodes of node v, -1 for nodes outside
+	// the pattern; it spans just the pattern's ID range [lo, lo+len(pos)).
+	lo  int
+	pos []int
+	// ops lists the distinct opcodes of the pattern; opSlot[i] is the
+	// index in ops of nodes[i]'s opcode.
+	ops    []ir.Op
+	opSlot []int
 	// escapes[i] reports whether pattern node nodes[i] has an output
 	// port (value consumed outside the cut or live out).
 	escapes []bool
 }
 
 func newPattern(blk *ir.Block, cut *graph.BitSet) *pattern {
-	p := &pattern{blk: blk, pos: map[int]int{}}
+	p := &pattern{blk: blk}
 	// Match order: topological within the pattern so that matched
-	// predecessors constrain candidates; ties broken by scarcer opcode
-	// first via stable sorting on (topo position).
-	var ids []int
-	cut.ForEach(func(v int) bool {
-		ids = append(ids, v)
-		return true
-	})
+	// predecessors constrain candidates. Topological positions are
+	// unique, so the order is total.
+	ids := cut.Elems() // ascending: fixes the ID range before the sort
+	p.lo = ids[0]
+	p.pos = make([]int, ids[len(ids)-1]-p.lo+1)
 	sort.Slice(ids, func(a, b int) bool {
 		return blk.DAG().TopoPos(ids[a]) < blk.DAG().TopoPos(ids[b])
 	})
 	p.nodes = ids
+	for k := range p.pos {
+		p.pos[k] = -1
+	}
+	p.opSlot = make([]int, len(ids))
 	for i, v := range ids {
-		p.pos[v] = i
+		p.pos[v-p.lo] = i
+		p.opSlot[i] = p.slotOf(blk.Nodes[v].Op)
+		if p.opSlot[i] < 0 {
+			p.opSlot[i] = len(p.ops)
+			p.ops = append(p.ops, blk.Nodes[v].Op)
+		}
 	}
 	p.escapes = make([]bool, len(ids))
 	for i, v := range ids {
@@ -71,16 +85,37 @@ func newPattern(blk *ir.Block, cut *graph.BitSet) *pattern {
 	return p
 }
 
-// valueKey identifies an operand source within a specific block for port
-// consistency: either a node value or an external input.
-type valueKey struct {
-	input bool
-	index int
+// indexOf returns the match-order index of node v, -1 when v is not a
+// pattern node.
+func (p *pattern) indexOf(v int) int {
+	if k := v - p.lo; k >= 0 && k < len(p.pos) {
+		return p.pos[k]
+	}
+	return -1
 }
 
-func operandKey(o ir.Operand) valueKey {
-	return valueKey{input: o.Kind == ir.FromInput, index: o.Index}
+// slotOf returns the index of op in p.ops, -1 when the pattern lacks it.
+// A pattern uses only a few distinct opcodes, so a scan is enough.
+func (p *pattern) slotOf(op ir.Op) int {
+	for i, o := range p.ops {
+		if o == op {
+			return i
+		}
+	}
+	return -1
 }
+
+// portKey encodes an external operand source within one block for port
+// binding: a node value as its ID, external input k as -1-k.
+func portKey(o ir.Operand) int {
+	if o.Kind == ir.FromInput {
+		return -1 - o.Index
+	}
+	return o.Index
+}
+
+// portBinding binds one pattern external port to its image in the target.
+type portBinding struct{ pat, tgt int }
 
 // matcher performs the backtracking search of one pattern in one block.
 type matcher struct {
@@ -89,20 +124,20 @@ type matcher struct {
 	available *graph.BitSet
 	assign    []int // pattern index -> target node ID (-1 unset)
 	used      *graph.BitSet
-	// portMap maps pattern external operand keys to target operand
-	// keys, ensuring input-port consistency; inversePort need not be
-	// injective (two pattern ports may not collapse, see match()).
-	portMap map[valueKey]valueKey
-	// portStack records port-map keys in insertion order; assignPorts
-	// stacks, per assigned pattern node, how many of them the assignment
-	// introduced (needed for rollback). One shared stack plus counts
-	// keeps the backtracking inner loop allocation-free — the matcher
-	// runs once per (pattern, block) pair inside the reuse-aware claim
-	// path, which made per-frame slices the AES hot spot.
-	portStack   []valueKey
+	// portStack holds the bound external ports in binding order, each
+	// pattern port at most once, so every use of a port maps to the same
+	// target operand. A pattern has only a handful of external ports, so
+	// a linear scan beats hashing. assignPorts stacks, per assigned
+	// pattern node, how many bindings the assignment pushed; rollback
+	// truncates. One shared stack plus counts keeps the backtracking
+	// inner loop allocation-free — the matcher runs once per (pattern,
+	// block) pair inside the reuse-aware claim path.
+	portStack   []portBinding
 	assignPorts []int
-	// byOp indexes target nodes by opcode for unconstrained scans.
-	byOp  map[ir.Op][]int
+	// byOp[k] lists, in ascending order, the target nodes with opcode
+	// p.ops[k]: the candidates of an unconstrained scan. Nodes whose
+	// opcode the pattern lacks can never match and are not indexed.
+	byOp  [][]int
 	out   []*graph.BitSet
 	limit int
 	// steps bounds the backtracking work: symmetric patterns (e.g. xor
@@ -127,38 +162,48 @@ func FindInstances(patBlk *ir.Block, cut *graph.BitSet, target *ir.Block, availa
 	if cut.Empty() {
 		return nil
 	}
-	p := newPattern(patBlk, cut)
-	m := &matcher{
+	m := newMatcher(newPattern(patBlk, cut), target, available, limit)
+	m.search(0)
+	return dedup(m.out)
+}
+
+// newMatcher prepares the search of pattern p in target: no node
+// assigned, no port bound, candidate lists indexed. It returns a value so
+// the matcher can live on the caller's stack.
+func newMatcher(p *pattern, target *ir.Block, available *graph.BitSet, limit int) matcher {
+	m := matcher{
 		p:         p,
 		blk:       target,
 		available: available,
 		assign:    make([]int, len(p.nodes)),
 		used:      graph.NewBitSet(target.N()),
-		portMap:   map[valueKey]valueKey{},
 		limit:     limit,
 	}
 	for i := range m.assign {
 		m.assign[i] = -1
 	}
-	m.byOp = map[ir.Op][]int{}
+	m.byOp = make([][]int, len(p.ops))
 	if available != nil {
 		// Only nodes in available can ever match (tryNode rejects the
 		// rest), so index just those — a word-level walk of the set
-		// instead of the former per-index scan over every node. Ascending
-		// order is preserved, so candidate order (and hence the match
-		// set) is unchanged.
+		// instead of a per-index scan over every node.
 		for v := available.NextSet(0); v >= 0; v = available.NextSet(v + 1) {
-			op := target.Nodes[v].Op
-			m.byOp[op] = append(m.byOp[op], v)
+			m.index(v)
 		}
 	} else {
 		for v := 0; v < target.N(); v++ {
-			op := target.Nodes[v].Op
-			m.byOp[op] = append(m.byOp[op], v)
+			m.index(v)
 		}
 	}
-	m.search(0)
-	return dedup(m.out)
+	return m
+}
+
+// index appends target node v to the candidate list of its opcode, if
+// the pattern uses that opcode.
+func (m *matcher) index(v int) {
+	if k := m.p.slotOf(m.blk.Nodes[v].Op); k >= 0 {
+		m.byOp[k] = append(m.byOp[k], v)
+	}
 }
 
 func dedup(sets []*graph.BitSet) []*graph.BitSet {
@@ -203,14 +248,14 @@ func (m *matcher) search(i int) {
 		if a.Kind != ir.FromNode {
 			continue
 		}
-		if pi, ok := m.p.pos[a.Index]; ok && m.assign[pi] >= 0 {
+		if pi := m.p.indexOf(a.Index); pi >= 0 && m.assign[pi] >= 0 {
 			candidates = m.blk.DAG().Succs(m.assign[pi])
 			narrowed = true
 			break
 		}
 	}
 	if !narrowed {
-		candidates = m.byOp[pnode.Op]
+		candidates = m.byOp[m.p.opSlot[i]]
 	}
 	for _, v := range candidates {
 		if m.tryNode(i, v) {
@@ -256,13 +301,19 @@ func (m *matcher) tryNode(i, v int) bool {
 	return true
 }
 
-// popPorts removes the k most recently added port-map entries.
+// popPorts removes the k most recently added port bindings.
 func (m *matcher) popPorts(k int) {
-	for ; k > 0; k-- {
-		pk := m.portStack[len(m.portStack)-1]
-		m.portStack = m.portStack[:len(m.portStack)-1]
-		delete(m.portMap, pk)
+	m.portStack = m.portStack[:len(m.portStack)-k]
+}
+
+// boundPort returns the target port bound to pattern port pk, if any.
+func (m *matcher) boundPort(pk int) (int, bool) {
+	for _, b := range m.portStack {
+		if b.pat == pk {
+			return b.tgt, true
+		}
 	}
+	return 0, false
 }
 
 func (m *matcher) unassign(i, v int) {
@@ -275,8 +326,8 @@ func (m *matcher) unassign(i, v int) {
 
 // argsCompatible checks operand wiring between a pattern node and its
 // candidate image, trying the swapped order too for commutative ops.
-// On success it returns how many pattern port keys were newly added to
-// portMap (and pushed onto portStack).
+// On success it returns how many port bindings were newly pushed onto
+// portStack.
 func (m *matcher) argsCompatible(pnode, tnode *ir.Node) (bool, int) {
 	if ok, added := m.argsMatch(pnode.Args, tnode.Args); ok {
 		return true, added
@@ -326,17 +377,15 @@ func (m *matcher) argsMatch(pargs, targs []ir.Operand) (bool, int) {
 			m.popPorts(added)
 			return false, 0
 		}
-		pk := operandKey(pa)
-		tk := operandKey(ta)
-		if prev, ok := m.portMap[pk]; ok {
+		pk, tk := portKey(pa), portKey(ta)
+		if prev, ok := m.boundPort(pk); ok {
 			if prev != tk {
 				m.popPorts(added)
 				return false, 0
 			}
 			continue
 		}
-		m.portMap[pk] = tk
-		m.portStack = append(m.portStack, pk)
+		m.portStack = append(m.portStack, portBinding{pk, tk})
 		added++
 	}
 	return true, added
@@ -348,8 +397,8 @@ func (m *matcher) patternIndexOf(o ir.Operand) (int, bool) {
 	if o.Kind != ir.FromNode {
 		return 0, false
 	}
-	pi, ok := m.p.pos[o.Index]
-	return pi, ok
+	pi := m.p.indexOf(o.Index)
+	return pi, pi >= 0
 }
 
 // accept validates the completed mapping (convexity, escape compatibility)
