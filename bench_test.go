@@ -9,6 +9,7 @@
 package isegen_test
 
 import (
+	"context"
 	"testing"
 
 	isegen "repro"
@@ -33,7 +34,7 @@ func benchFigure4Suite(b *testing.B, workers int) {
 		r := &search.Runner{Workers: workers, Cache: search.NewCostCache()}
 		for _, spec := range specs {
 			cfg := core.DefaultConfig()
-			cuts, _, err := r.Generate(spec.App, cfg, search.Merit(model), nil)
+			cuts, _, err := r.GenerateContext(context.Background(), spec.App, cfg, search.Merit(model), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -82,7 +83,7 @@ func benchFigure4Iterative(b *testing.B, subtreeWorkers int) {
 				continue
 			}
 			opt := exact.Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Budget: 2_000_000_000, Workers: subtreeWorkers}
-			if _, err := exact.Iterative(spec.App.Blocks[0], opt, 4); err != nil {
+			if _, err := exact.IterativeContext(context.Background(), spec.App.Blocks[0], opt, 4); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -108,7 +109,7 @@ func benchFigure4Exact(b *testing.B, subtreeWorkers int) {
 				continue
 			}
 			opt := exact.Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Budget: 2_000_000_000, Workers: subtreeWorkers}
-			if _, err := exact.MultiCut(spec.App.Blocks[0], opt, 4); err != nil {
+			if _, err := exact.MultiCutContext(context.Background(), spec.App.Blocks[0], opt, 4); err != nil {
 				b.Fatal(err)
 			}
 		}

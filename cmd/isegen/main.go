@@ -20,26 +20,31 @@
 //
 // -algo racing races K-L and the genetic baseline against the exact
 // engine per block: each heuristic answer seeds the exact search's
-// best-bound, so the proven-optimal result (the same bits -algo exact
-// produces) arrives sooner; with -json the stream
+// best-bound, and the proven optimum (the same bits -algo exact produces)
+// replaces them when the proof lands; whether it also lands sooner than
+// -algo exact alone varies by host and run. With -json the stream
 // additionally carries "frontier" records marked anytime/optimal as each
 // racer publishes. -deadline bounds each block's race wall-clock — on
 // expiry the best anytime answer so far is returned without an error
 // (racing only; timing-dependent by construction).
 //
-// The baselines (exact, iterative, genetic) optimize merit internally and
-// accept only -objective merit; every other objective requires
+// Both output modes are renderings of one internal/service.Run stream.
+// The ISEGEN flow selects across the whole application; the baselines
+// (exact, iterative, genetic, racing) run on every block with the AFU
+// budget applied per block, and a block over the engine's node limit is
+// skipped with a note on stderr. The baselines optimize merit internally
+// and accept only -objective merit; every other objective requires
 // -algo isegen. Invalid pairs are rejected up front with the full list of
 // valid combinations. With -objective pareto, selection is by Pareto
 // dominance over (merit, area, energy) and the run additionally prints
 // the non-dominated frontier.
 //
 // -json switches to the machine-readable NDJSON result stream — the same
-// schema, code path and byte-for-byte output as the isegend service
-// (internal/service.Run), so offline and served runs are diffable. An
-// explicit -objective extends each selection record with its objective
-// vector; -objective pareto adds a "frontier" record. Without -objective
-// the stream is bit-identical to the pre-objective schema.
+// schema and byte-for-byte output as the isegend service, so offline and
+// served runs are diffable. An explicit -objective extends each selection
+// record with its objective vector; -objective pareto adds a "frontier"
+// record. Without -objective the stream is bit-identical to the
+// pre-objective schema.
 // -cache-dir persists cut costings across runs (keyed by canonical block
 // hash), making repeated sweeps over the same file near-free.
 //
@@ -55,7 +60,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	isegen "repro"
@@ -63,40 +70,51 @@ import (
 	"repro/internal/service"
 )
 
-func main() {
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli runs isegen with the given arguments and returns the exit status:
+// 0 on success, 1 when the run fails, 2 on a usage error.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		algo      = flag.String("algo", "isegen", "algorithm: "+strings.Join(isegen.SearchEngineNames(), ", "))
-		objective = flag.String("objective", "", "objective: "+strings.Join(isegen.ObjectiveNames(), ", ")+
+		algo      = fs.String("algo", "isegen", "algorithm: "+strings.Join(isegen.SearchEngineNames(), ", "))
+		objective = fs.String("objective", "", "objective: "+strings.Join(isegen.ObjectiveNames(), ", ")+
 			" (default: reuse-aware scoring, merit with -noreuse; non-merit objectives require -algo isegen)")
-		gatePenalty = flag.Float64("gate-penalty", 0, "area objective: merit discount per NAND2 gate (0 = default)")
-		latBudget   = flag.Int("latency-budget", 0, "latency objective: max AFU cycles per ISE (required with -objective latency)")
-		classWts    = flag.String("class-weights", "", `class objective: comma-separated class=weight list, e.g. "memory=0.5,compute=2"`)
-		maxFrontier = flag.Int("max-frontier", 0, "pareto objective: bound on retained frontier points (0 = unbounded; deterministic eviction)")
-		maxIn       = flag.Int("in", 4, "maximum ISE input operands")
-		maxOut      = flag.Int("out", 2, "maximum ISE output operands")
-		nise        = flag.Int("nise", 4, "maximum number of ISEs (AFUs)")
-		seed        = flag.Int64("seed", 1, "random seed for the genetic algorithm")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = one per CPU core; results are identical)")
-		subWorkers  = flag.Int("subtree-workers", 0, "exact engines: in-block branch-and-bound workers (0/1 = single-threaded, -1 = one per CPU core; in-budget runs are identical)")
-		splitDepth  = flag.Int("split-depth", 0, "exact engines: decision depth of the subtree split (0 = automatic; results are identical)")
-		deadline    = flag.Duration("deadline", 0, "racing engine: per-block wall-clock bound (e.g. 200ms; 0 = none) — on expiry the best anytime answer so far is returned instead of the proven optimum")
-		dotFile     = flag.String("dot", "", "write a Graphviz rendering of the first block with cuts highlighted")
-		noReuse     = flag.Bool("noreuse", false, "disable reuse matching (each cut counts once)")
-		jsonOut     = flag.Bool("json", false, "emit the NDJSON result stream (same schema and bytes as the isegend service)")
-		cacheDir    = flag.String("cache-dir", "", "persist cut costings under this directory across runs")
-		traceFile   = flag.String("trace", "", "record the run's span trace and counters as NDJSON to this file")
-		traceSum    = flag.Bool("summary", false, "print a human-readable span/counter summary to stderr (implies recording)")
+		gatePenalty = fs.Float64("gate-penalty", 0, "area objective: merit discount per NAND2 gate (0 = default)")
+		latBudget   = fs.Int("latency-budget", 0, "latency objective: max AFU cycles per ISE (required with -objective latency)")
+		classWts    = fs.String("class-weights", "", `class objective: comma-separated class=weight list, e.g. "memory=0.5,compute=2"`)
+		maxFrontier = fs.Int("max-frontier", 0, "pareto objective: bound on retained frontier points (0 = unbounded; deterministic eviction)")
+		maxIn       = fs.Int("in", 4, "maximum ISE input operands")
+		maxOut      = fs.Int("out", 2, "maximum ISE output operands")
+		nise        = fs.Int("nise", 4, "maximum number of ISEs (AFUs)")
+		seed        = fs.Int64("seed", 1, "random seed for the genetic algorithm")
+		workers     = fs.Int("workers", 0, "worker pool size (0 = one per CPU core; results are identical)")
+		subWorkers  = fs.Int("subtree-workers", 0, "exact engines: in-block branch-and-bound workers (0/1 = single-threaded, -1 = one per CPU core; in-budget runs are identical)")
+		splitDepth  = fs.Int("split-depth", 0, "exact engines: decision depth of the subtree split (0 = automatic; results are identical)")
+		deadline    = fs.Duration("deadline", 0, "racing engine: per-block wall-clock bound (e.g. 200ms; 0 = none) — on expiry the best anytime answer so far is returned instead of the proven optimum")
+		dotFile     = fs.String("dot", "", "write a Graphviz rendering of the first block with cuts highlighted")
+		noReuse     = fs.Bool("noreuse", false, "disable reuse matching (each cut counts once)")
+		jsonOut     = fs.Bool("json", false, "emit the NDJSON result stream (same schema and bytes as the isegend service)")
+		cacheDir    = fs.String("cache-dir", "", "persist cut costings under this directory across runs")
+		traceFile   = fs.String("trace", "", "record the run's span trace and counters as NDJSON to this file")
+		traceSum    = fs.Bool("summary", false, "print a human-readable span/counter summary to stderr (implies recording)")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: isegen [flags] file.dfg")
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: isegen [flags] file.dfg")
+		fs.Usage()
+		return 2
 	}
 	weights, err := service.ParseClassWeights(*classWts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "isegen:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "isegen:", err)
+		return 2
 	}
 	p := service.Params{
 		Algo: *algo, MaxIn: *maxIn, MaxOut: *maxOut, NISE: *nise,
@@ -112,8 +130,8 @@ func main() {
 	// clear usage error listing the valid pairs instead of a rejection
 	// from deep inside an engine.
 	if err := p.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "isegen:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "isegen:", err)
+		return 2
 	}
 	// Recording is attached through the context; the engines see the same
 	// code path either way (nil-recorder methods are no-ops), so -trace
@@ -126,28 +144,25 @@ func main() {
 		jobSpan = rec.Start(0, obs.KindJob, p.Algo)
 		ctx = obs.WithParentSpan(obs.WithRecorder(ctx, rec), jobSpan)
 	}
-	if *jsonOut {
-		if *dotFile != "" {
-			fmt.Fprintln(os.Stderr, "isegen: -dot is not supported with -json (the NDJSON stream carries no render); drop one of the two flags")
-			os.Exit(2)
-		}
-		err = runJSON(ctx, flag.Arg(0), p, *cacheDir)
-	} else {
-		err = run(ctx, flag.Arg(0), p, *dotFile, *cacheDir)
+	if *jsonOut && *dotFile != "" {
+		fmt.Fprintln(stderr, "isegen: -dot is not supported with -json (the NDJSON stream carries no render); drop one of the two flags")
+		return 2
 	}
+	err = run(ctx, fs.Arg(0), p, *jsonOut, *dotFile, *cacheDir, stdout, stderr)
 	if rec != nil {
 		rec.End(jobSpan)
 		if terr := writeTrace(rec, *traceFile); terr != nil && err == nil {
 			err = terr
 		}
 		if *traceSum {
-			rec.WriteSummary(os.Stderr)
+			rec.WriteSummary(stderr)
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "isegen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "isegen:", err)
+		return 1
 	}
+	return 0
 }
 
 // writeTrace dumps the recorded span tree and counters as NDJSON.
@@ -180,11 +195,13 @@ func openCache(cacheDir string) (*isegen.CostCache, error) {
 	return isegen.NewPersistentCostCache(store), nil
 }
 
-// runJSON is the machine-readable path: service.Run streaming NDJSON to
-// stdout — exactly what the isegend daemon serves, so the outputs diff
-// clean. With -cache-dir the cut-costing cache is loaded from and flushed
-// back to disk, so a repeated run skips costing entirely.
-func runJSON(ctx context.Context, path string, p service.Params, cacheDir string) (err error) {
+// run parses the application and drives service.Run, the one execution
+// path of both output modes: -json encodes the records as NDJSON (exactly
+// what the isegend daemon serves, so the outputs diff clean), the default
+// mode renders them as text. With -cache-dir the cut-costing cache is
+// loaded from and flushed back to disk, so a repeated run skips costing
+// entirely.
+func run(ctx context.Context, path string, p service.Params, jsonOut bool, dotFile, cacheDir string, stdout, stderr io.Writer) (err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -208,131 +225,106 @@ func runJSON(ctx context.Context, path string, p service.Params, cacheDir string
 			err = ferr
 		}
 	}()
-	return service.Run(ctx, app, p, cache, service.NDJSONEmitter(os.Stdout))
+	if jsonOut {
+		return service.Run(ctx, app, p, cache, service.NDJSONEmitter(stdout))
+	}
+	rep := &textReport{app: app, out: stdout, errOut: stderr}
+	if err := service.Run(ctx, app, p, cache, rep.emit); err != nil {
+		return err
+	}
+	if dotFile == "" {
+		return nil
+	}
+	df, err := os.Create(dotFile)
+	if err != nil {
+		return err
+	}
+	if err := isegen.WriteDOT(df, app.Blocks[0], rep.block0); err != nil {
+		df.Close()
+		return err
+	}
+	if err := df.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, "wrote", dotFile)
+	return nil
 }
 
-func run(ctx context.Context, path string, p service.Params, dotFile, cacheDir string) (err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	app, err := isegen.ParseApplication(path, f)
-	if err != nil {
-		return err
-	}
-	model := isegen.DefaultModel()
-	cache, err := openCache(cacheDir)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if ferr := cache.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
+// textReport renders the service.Run record stream as the human-readable
+// report: every selection in ISE order, then the Pareto frontier when the
+// job has one, then the application line. Racing's in-flight frontier
+// records are not part of the report; each skipped block gets one stderr
+// line.
+type textReport struct {
+	app         *isegen.Application
+	out, errOut io.Writer
+	sels        []blockSelection
+	// block0 holds block 0's selections, the cuts -dot highlights.
+	block0 []*isegen.BitSet
+}
 
-	var sels []isegen.Selection
-	var frontier *isegen.Frontier
-	if p.Algo == "isegen" {
-		// The ISEGEN flow is application-level: the driver walks all
-		// blocks by speedup potential under the chosen objective
-		// (default: reuse-aware scoring).
-		cfg := isegen.DefaultConfig()
-		cfg.MaxIn, cfg.MaxOut, cfg.NISE, cfg.Workers = p.MaxIn, p.MaxOut, p.NISE, p.Workers
-		if !p.Reuse {
-			cuts, fr, err := isegen.GenerateCutsOnlyWithObjectiveContext(ctx, app, cfg, p.Objective, p.ObjectiveParams(), cache)
-			if err != nil {
-				return err
-			}
-			sels, frontier = service.SingleInstanceSelections(app, cuts), fr
-		} else {
-			res, err := isegen.GenerateWithObjectiveContext(ctx, app, cfg, p.Objective, p.ObjectiveParams(), cache)
-			if err != nil {
-				return err
-			}
-			sels, frontier = res.Selections, res.Frontier
-		}
-	} else {
-		// Baselines operate per block through the unified engine
-		// registry; run them on the largest block, as the paper does
-		// (the critical basic block).
-		eng, err := isegen.NewSearchEngine(p.Algo, cache)
-		if err != nil {
-			return err
-		}
-		if ga, ok := eng.(interface{ SetSeed(int64) }); ok {
-			ga.SetSeed(p.Seed)
-		}
-		hot := 0
-		for i, b := range app.Blocks {
-			if b.N() > app.Blocks[hot].N() {
-				hot = i
-			}
-		}
-		lim := &isegen.SearchLimits{
-			MaxIn: p.MaxIn, MaxOut: p.MaxOut, NISE: p.NISE,
-			NodeLimit: isegen.DefaultNodeLimit(p.Algo), Budget: isegen.DefaultSearchBudget,
-			Workers: p.Workers, SubtreeWorkers: p.SubtreeWorkers, SplitDepth: p.SplitDepth,
-			Deadline: p.Deadline,
-		}
-		cuts, _, err := eng.RunContext(ctx, app.Blocks[hot], isegen.MeritObjective(model), lim)
-		if err != nil {
-			return err
-		}
-		if !p.Reuse {
-			sels = service.SingleInstanceSelections(app, cuts)
-		} else {
-			blockIdx := map[*isegen.Block]int{}
-			for i, b := range app.Blocks {
-				blockIdx[b] = i
-			}
-			sels = isegen.ClaimAllWithReuse(app, cuts, func(c *isegen.Cut) int { return blockIdx[c.Block] })
-		}
-	}
+// blockSelection is one buffered selection with the block it was
+// identified in.
+type blockSelection struct {
+	block int
+	sel   service.Selection
+}
 
-	for i, sel := range sels {
-		fmt.Printf("ISE %d: block %q nodes %v\n", i+1, sel.Cut.Block.Name, sel.Cut.Nodes)
-		fmt.Printf("  io (%d,%d), swlat %d, afu cycles %d, merit %.0f, instances %d\n",
-			sel.Cut.NumIn, sel.Cut.NumOut, sel.Cut.SWLat, sel.Cut.HWCyclesInt(), sel.Cut.Merit(), len(sel.Instances))
-		if p.Objective != "" {
-			v := isegen.CutObjectiveVector(model, sel.Cut)
-			fmt.Printf("  objectives: %s\n", v)
+func (t *textReport) emit(v any) error {
+	switch r := v.(type) {
+	case *service.BlockResult:
+		if r.Skipped != "" {
+			fmt.Fprintf(t.errOut, "isegen: skipped block %d (%s): %s\n", r.Block, r.Name, r.Skipped)
 		}
-	}
-	if frontier != nil {
-		fmt.Printf("pareto frontier: %d non-dominated candidates (merit max, area min, energy max; * = selected)\n", frontier.Len())
-		for _, pt := range frontier.Points() {
+		for _, sel := range r.Selections {
+			t.sels = append(t.sels, blockSelection{r.Block, sel})
+			if r.Block == 0 {
+				t.block0 = append(t.block0, t.nodeSet(0, sel.Nodes))
+			}
+		}
+	case *service.FrontierRecord:
+		t.printSelections()
+		fmt.Fprintf(t.out, "pareto frontier: %d non-dominated candidates (merit max, area min, energy max; * = selected)\n", len(r.Points))
+		for _, pt := range r.Points {
 			mark := " "
 			if pt.Selected {
 				mark = "*"
 			}
-			fmt.Printf(" %s block %d nodes %v: %s\n", mark, pt.Block, pt.Cut.Nodes, pt.Vector)
+			fmt.Fprintf(t.out, " %s block %d nodes %v: %s\n", mark, pt.Block, t.nodeSet(pt.Block, pt.Nodes), vector(pt.Objectives))
 		}
-	}
-	rep, err := isegen.Evaluate(app, model, sels)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("application: speedup %.3f, coverage %.1f%%, code size %d -> %d, energy %.1f%%\n",
-		rep.Speedup, 100*rep.Coverage, rep.StaticBefore, rep.StaticAfter, 100*rep.EnergyAfter/rep.EnergyBefore)
-
-	if dotFile != "" {
-		var cuts []*isegen.BitSet
-		for _, sel := range sels {
-			if sel.Cut.Block == app.Blocks[0] {
-				cuts = append(cuts, sel.Cut.Nodes)
-			}
-		}
-		df, err := os.Create(dotFile)
-		if err != nil {
-			return err
-		}
-		defer df.Close()
-		if err := isegen.WriteDOT(df, app.Blocks[0], cuts); err != nil {
-			return err
-		}
-		fmt.Println("wrote", dotFile)
+	case *service.Summary:
+		t.printSelections()
+		fmt.Fprintf(t.out, "application: speedup %.3f, coverage %.1f%%, code size %d -> %d, energy %.1f%%\n",
+			r.Speedup, 100*r.Coverage, r.StaticBefore, r.StaticAfter, 100*r.EnergyRatio)
 	}
 	return nil
+}
+
+// printSelections prints the buffered selections in ISE order (the block
+// records group them by block) and empties the buffer.
+func (t *textReport) printSelections() {
+	slices.SortFunc(t.sels, func(a, b blockSelection) int { return a.sel.ISE - b.sel.ISE })
+	for _, bs := range t.sels {
+		sel := bs.sel
+		fmt.Fprintf(t.out, "ISE %d: block %q nodes %v\n", sel.ISE, t.app.Blocks[bs.block].Name, t.nodeSet(bs.block, sel.Nodes))
+		fmt.Fprintf(t.out, "  io (%d,%d), swlat %d, afu cycles %d, merit %.0f, instances %d\n",
+			sel.NumIn, sel.NumOut, sel.SWLat, sel.HWCycles, sel.Merit, len(sel.Instances))
+		if sel.Objectives != nil {
+			fmt.Fprintf(t.out, "  objectives: %s\n", vector(*sel.Objectives))
+		}
+	}
+	t.sels = nil
+}
+
+// nodeSet rebuilds a record's node list as a node set of block bi.
+func (t *textReport) nodeSet(bi int, nodes []int) *isegen.BitSet {
+	set := isegen.NewBitSet(t.app.Blocks[bi].N())
+	for _, v := range nodes {
+		set.Set(v)
+	}
+	return set
+}
+
+func vector(v service.ObjectiveVector) isegen.ObjectiveVector {
+	return isegen.ObjectiveVector{Merit: v.Merit, Area: v.Area, Energy: v.Energy}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // pinTrajectories runs every restart trajectory of a fresh engine both
-// through Engine.Trajectory and through refTrajectory and requires the two
+// through Engine.TrajectoryContext and through refTrajectory and requires the two
 // snapshot pools to be bit-identical.
 func pinTrajectories(t *testing.T, name string, blk *ir.Block, cfg Config, excluded *graph.BitSet) {
 	t.Helper()
@@ -23,9 +24,19 @@ func pinTrajectories(t *testing.T, name string, blk *ir.Block, cfg Config, exclu
 	var want, got [][]Candidate
 	for _, seed := range eng.Seeds() {
 		want = append(want, refTrajectory(eng, seed))
-		got = append(got, eng.Trajectory(seed))
+		got = append(got, runTrajectory(t, eng, seed))
 	}
 	assertSameTrajectories(t, name, want, got)
+}
+
+// runTrajectory runs one uncancelled K-L trajectory from seed.
+func runTrajectory(t *testing.T, eng *Engine, seed *graph.BitSet) []Candidate {
+	t.Helper()
+	snaps, err := eng.TrajectoryContext(context.Background(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snaps
 }
 
 // assertSameTrajectories requires two trajectory pools to be bit-identical:
@@ -246,10 +257,10 @@ func TestPooledTrajectoryReuse(t *testing.T) {
 		seeds := eng.Seeds()
 		var first, second [][]Candidate
 		for _, seed := range seeds {
-			first = append(first, eng.Trajectory(seed))
+			first = append(first, runTrajectory(t, eng, seed))
 		}
 		for _, seed := range seeds {
-			second = append(second, eng.Trajectory(seed))
+			second = append(second, runTrajectory(t, eng, seed))
 		}
 		assertSameTrajectories(t, blk.Name, first, second)
 	}
@@ -284,7 +295,7 @@ func TestFinalizeHashDedupEquivalence(t *testing.T) {
 		snaps = append(snaps, Candidate{Nodes: chain.Clone()})
 	}
 	for _, seed := range eng.Seeds() {
-		snaps = append(snaps, eng.Trajectory(seed)...)
+		snaps = append(snaps, runTrajectory(t, eng, seed)...)
 	}
 	snaps = append(snaps, snaps...) // force duplicates
 	rng.Shuffle(len(snaps), func(i, j int) { snaps[i], snaps[j] = snaps[j], snaps[i] })

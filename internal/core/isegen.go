@@ -113,8 +113,9 @@ type Candidate struct {
 
 // Engine runs the modified Kernighan–Lin bi-partition on one block. The
 // engine itself is immutable after construction: every restart trajectory
-// runs on a private State, so Trajectory may be called concurrently from
-// several goroutines (the search layer's restart fan-out).
+// runs on a private State, so TrajectoryContext may be called
+// concurrently from several goroutines (the search layer's restart
+// fan-out).
 type Engine struct {
 	cfg      Config
 	blk      *ir.Block
@@ -177,7 +178,7 @@ func (e *Engine) Bipartition() *Cut {
 
 // Candidates runs the full search sequentially and returns every distinct
 // feasible cut with positive merit the trajectories passed through, best
-// merit first. It is equivalent to running Trajectory over Seeds and
+// merit first. It is equivalent to running TrajectoryContext over Seeds and
 // passing the concatenated snapshots to Finalize — which is exactly what
 // the search layer does, in parallel, with bit-identical results.
 //
@@ -187,7 +188,8 @@ func (e *Engine) Bipartition() *Cut {
 func (e *Engine) Candidates() []*Cut {
 	var snaps []Candidate
 	for _, seed := range e.Seeds() {
-		snaps = append(snaps, e.Trajectory(seed)...)
+		ts, _ := e.TrajectoryContext(context.Background(), seed) // uncancellable: no error
+		snaps = append(snaps, ts...)
 	}
 	return e.Finalize(snaps)
 }
@@ -233,16 +235,10 @@ func (e *Engine) Seeds() []*graph.BitSet {
 	return out
 }
 
-// Trajectory runs one full Figure 2 K-L loop from the given start cut on a
-// private State and returns every feasible improvement it passed through.
-// Safe for concurrent use: trajectories share nothing but the immutable
-// block and config.
-func (e *Engine) Trajectory(seed *graph.BitSet) []Candidate {
-	snaps, _ := e.TrajectoryContext(context.Background(), seed)
-	return snaps
-}
-
-// TrajectoryContext is Trajectory with cancellation granularity inside the
+// TrajectoryContext runs one full Figure 2 K-L loop from the given start
+// cut on a private State and returns every feasible improvement it passed
+// through. Safe for concurrent use: trajectories share nothing but the
+// immutable block and config. Cancellation has granularity inside the
 // block: the K-L loop polls the context every few toggle steps (each step
 // is at least an O(n) gain scan, so the amortized check is free) and aborts
 // mid-pass, returning the snapshots taken so far alongside ctx.Err(). This

@@ -108,8 +108,8 @@ func (s *State) cpAfter(v int, adding bool) float64 {
 	return s.hwCP
 }
 
-// refTrajectory is Engine.Trajectory re-derived from scratch at every
-// step. It follows klLoop's pass and snapshot rules exactly, but drives a
+// refTrajectory is Engine.TrajectoryContext re-derived from scratch at
+// every step. It follows klLoop's pass and snapshot rules exactly, but drives a
 // private State only through SetCut (always the full relabel sweep),
 // rebuilds the α5 component table before every selection, and scores each
 // candidate with gain(v, probeRef(st, v)).

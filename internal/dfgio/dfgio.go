@@ -25,6 +25,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -162,6 +163,17 @@ func ParseApplication(name string, r io.Reader) (*ir.Application, error) {
 	if len(app.Blocks) == 0 {
 		return nil, &ParseError{Line: p.line, Msg: "no blocks in application"}
 	}
+	// Speedup, coverage and energy are ratios over the application's
+	// dynamic weight (frequency-weighted node count), so an application
+	// without any has no defined result: reject it here, before a served
+	// job commits its response status.
+	weighted := false
+	for _, b := range app.Blocks {
+		weighted = weighted || (b.Freq > 0 && b.N() > 0)
+	}
+	if !weighted {
+		return nil, &ParseError{Line: p.line, Msg: "application has no dynamic weight: every block has freq 0 or no nodes"}
+	}
 	return app, nil
 }
 
@@ -197,7 +209,7 @@ func (p *parser) parseBlock() (*ir.Block, error) {
 				return nil, p.errf("freq takes one value")
 			}
 			v, err := strconv.ParseFloat(f[1], 64)
-			if err != nil || v < 0 {
+			if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, p.errf("bad freq %q", f[1])
 			}
 			blk.Freq = v

@@ -2,6 +2,7 @@ package dfgio
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -115,6 +116,27 @@ inputs 2
 	}
 }
 
+// TestParseApplicationZeroWeight: an application with no dynamic weight —
+// every block at freq 0, or the only executed blocks empty — has no
+// defined speedup, so the parser rejects it up front with a ParseError.
+func TestParseApplicationZeroWeight(t *testing.T) {
+	for name, src := range map[string]string{
+		"all freq 0":           "dfg a\nfreq 0\ninputs 2\n0 add i0 i1 !out\ndfg b\nfreq 0\ninputs 1\n0 neg i0 !out\n",
+		"executed block empty": "dfg a\nfreq 5\ninputs 0\ndfg b\nfreq 0\ninputs 2\n0 add i0 i1 !out\n",
+	} {
+		_, err := ParseApplication("z", strings.NewReader(src))
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "no dynamic weight") {
+			t.Errorf("%s: err = %v, want a no-dynamic-weight ParseError", name, err)
+		}
+	}
+	// One executed non-empty block is enough.
+	src := "dfg a\nfreq 0\ninputs 2\n0 add i0 i1 !out\ndfg b\nfreq 0.5\ninputs 1\n0 neg i0 !out\n"
+	if _, err := ParseApplication("w", strings.NewReader(src)); err != nil {
+		t.Fatalf("weighted application rejected: %v", err)
+	}
+}
+
 func TestApplicationRoundTrip(t *testing.T) {
 	b1 := buildSample(t)
 	bu := ir.NewBuilder("tiny", 3)
@@ -143,6 +165,8 @@ func TestParseErrors(t *testing.T) {
 		{"bad header", "dfg\n"},
 		{"bad freq", "dfg x\nfreq no\n0 const imm=1 !out\n"},
 		{"negative freq", "dfg x\nfreq -2\n"},
+		{"NaN freq", "dfg x\nfreq NaN\n0 const imm=1 !out\n"},
+		{"infinite freq", "dfg x\nfreq +Inf\n0 const imm=1 !out\n"},
 		{"bad inputs", "dfg x\ninputs -1\n"},
 		{"out of order id", "dfg x\ninputs 1\n1 neg i0\n"},
 		{"unknown op", "dfg x\ninputs 1\n0 frob i0\n"},

@@ -149,7 +149,7 @@ func (c Config) runEngine(name string, blk *ir.Block, cache *search.CostCache, p
 		return runResult{err: err}
 	}
 	obj := search.Merit(model)
-	cuts, stats, err := eng.Run(blk, obj, c.limits(par))
+	cuts, stats, err := eng.RunContext(context.Background(), blk, obj, c.limits(par))
 	return runResult{cuts: cuts, stats: stats, err: err}
 }
 

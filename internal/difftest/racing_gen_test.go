@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func TestRacingAnytimeMonotoneOnGeneratedBlocks(t *testing.T) {
 		blk := dfggen.Block(dfggen.Seeded(200+seed), dfggen.DefaultParams())
 		var events []search.RaceEvent
 		eng := &search.Racing{OnEvent: func(ev search.RaceEvent) { events = append(events, ev) }}
-		cuts, stats, err := eng.Run(blk, obj, racingLimits(0))
+		cuts, stats, err := eng.RunContext(context.Background(), blk, obj, racingLimits(0))
 		if err != nil {
 			if search.IsResourceRefusal(err) {
 				continue
@@ -92,7 +93,7 @@ func TestRacingDeadlineNeverYieldsInvalidCuts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exactCuts, _, err := exactEng.Run(blk, obj, racingLimits(0))
+		exactCuts, _, err := exactEng.RunContext(context.Background(), blk, obj, racingLimits(0))
 		if err != nil {
 			if search.IsResourceRefusal(err) {
 				continue
@@ -103,7 +104,7 @@ func TestRacingDeadlineNeverYieldsInvalidCuts(t *testing.T) {
 
 		for _, deadline := range []time.Duration{time.Nanosecond, 200 * time.Microsecond} {
 			eng := &search.Racing{}
-			cuts, stats, err := eng.Run(blk, obj, racingLimits(deadline))
+			cuts, stats, err := eng.RunContext(context.Background(), blk, obj, racingLimits(deadline))
 			if err != nil {
 				t.Fatalf("seed %d deadline %v: racing returned error %v (deadline expiry must not error)",
 					seed, deadline, err)

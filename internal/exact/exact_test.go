@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -81,7 +82,7 @@ func TestSingleCutMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		blk := randKernelBlock(rng, 3+rng.Intn(12))
 		want := bruteForceBest(blk, opt)
-		cut, err := SingleCut(blk, opt, nil)
+		cut, err := SingleCutContext(context.Background(), blk, opt, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -108,7 +109,7 @@ func TestSingleCutVariedIOConstraints(t *testing.T) {
 			opt := defaultOpts()
 			opt.MaxIn, opt.MaxOut = io[0], io[1]
 			want := bruteForceBest(blk, opt)
-			cut, err := SingleCut(blk, opt, nil)
+			cut, err := SingleCutContext(context.Background(), blk, opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +133,7 @@ func TestSingleCutExcluded(t *testing.T) {
 	blk := bu.MustBuild()
 
 	opt := defaultOpts()
-	full, err := SingleCut(blk, opt, nil)
+	full, err := SingleCutContext(context.Background(), blk, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestSingleCutExcluded(t *testing.T) {
 	}
 	excl := graph.NewBitSet(2)
 	excl.Set(0) // exclude the mul: the lone add saves nothing
-	cut, err := SingleCut(blk, opt, excl)
+	cut, err := SingleCutContext(context.Background(), blk, opt, excl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestSingleCutNodeLimit(t *testing.T) {
 	blk := randKernelBlock(rng, 30)
 	opt := defaultOpts()
 	opt.NodeLimit = 25
-	_, err := SingleCut(blk, opt, nil)
+	_, err := SingleCutContext(context.Background(), blk, opt, nil)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
@@ -166,7 +167,7 @@ func TestSingleCutBudget(t *testing.T) {
 	blk := randKernelBlock(rng, 40)
 	opt := defaultOpts()
 	opt.Budget = 50
-	_, err := SingleCut(blk, opt, nil)
+	_, err := SingleCutContext(context.Background(), blk, opt, nil)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -176,7 +177,7 @@ func TestIterativeDisjointCuts(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	blk := randKernelBlock(rng, 14)
 	opt := defaultOpts()
-	cuts, err := Iterative(blk, opt, 4)
+	cuts, err := IterativeContext(context.Background(), blk, opt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestMultiCutMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		blk := randKernelBlock(rng, 3+rng.Intn(6))
 		want := bruteForceMulti(blk, opt, 2)
-		cuts, err := MultiCut(blk, opt, 2)
+		cuts, err := MultiCutContext(context.Background(), blk, opt, 2)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -278,11 +279,11 @@ func TestMultiCutAtLeastIterative(t *testing.T) {
 	opt := defaultOpts()
 	for trial := 0; trial < 10; trial++ {
 		blk := randKernelBlock(rng, 4+rng.Intn(6))
-		multi, err := MultiCut(blk, opt, 2)
+		multi, err := MultiCutContext(context.Background(), blk, opt, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		iter, err := Iterative(blk, opt, 2)
+		iter, err := IterativeContext(context.Background(), blk, opt, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,16 +302,16 @@ func TestMultiCutAtLeastIterative(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	blk := randKernelBlock(rand.New(rand.NewSource(1)), 4)
-	if _, err := SingleCut(blk, Options{MaxIn: 4, MaxOut: 2}, nil); err == nil {
+	if _, err := SingleCutContext(context.Background(), blk, Options{MaxIn: 4, MaxOut: 2}, nil); err == nil {
 		t.Error("nil model should be rejected")
 	}
-	if _, err := SingleCut(blk, Options{MaxIn: 0, MaxOut: 2, Model: latency.Default()}, nil); err == nil {
+	if _, err := SingleCutContext(context.Background(), blk, Options{MaxIn: 0, MaxOut: 2, Model: latency.Default()}, nil); err == nil {
 		t.Error("zero MaxIn should be rejected")
 	}
-	if _, err := Iterative(blk, defaultOpts(), 0); err == nil {
+	if _, err := IterativeContext(context.Background(), blk, defaultOpts(), 0); err == nil {
 		t.Error("nise 0 should be rejected")
 	}
-	if _, err := MultiCut(blk, defaultOpts(), 0); err == nil {
+	if _, err := MultiCutContext(context.Background(), blk, defaultOpts(), 0); err == nil {
 		t.Error("nise 0 should be rejected")
 	}
 }
@@ -321,7 +322,7 @@ func BenchmarkSingleCut20(b *testing.B) {
 	opt := defaultOpts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SingleCut(blk, opt, nil); err != nil {
+		if _, err := SingleCutContext(context.Background(), blk, opt, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -142,18 +142,13 @@ func (s *multiCutSearch) fork() *multiCutSearch {
 	return w
 }
 
-// MultiCut implements the paper's "Exact" baseline: the joint optimal
-// assignment of block nodes to at most nise disjoint feasible cuts,
-// maximizing the summed merit. It is exponential in nodes × cuts and is
-// only practical for small blocks; callers should set Options.NodeLimit
-// (the paper's exact approach handled blocks of up to ~25 nodes).
-func MultiCut(blk *ir.Block, opt Options, nise int) ([]*core.Cut, error) {
-	return MultiCutContext(context.Background(), blk, opt, nise)
-}
-
-// MultiCutContext is MultiCut with cancellation: the joint search aborts
-// mid-block (checked every few thousand explored nodes) and returns
-// ctx.Err().
+// MultiCutContext implements the paper's "Exact" baseline: the joint
+// optimal assignment of block nodes to at most nise disjoint feasible
+// cuts, maximizing the summed merit. It is exponential in nodes × cuts and
+// is only practical for small blocks; callers should set
+// Options.NodeLimit (the paper's exact approach handled blocks of up to
+// ~25 nodes). The joint search honors cancellation mid-block (checked
+// every few thousand explored nodes) and returns ctx.Err().
 func MultiCutContext(ctx context.Context, blk *ir.Block, opt Options, nise int) ([]*core.Cut, error) {
 	if nise < 1 {
 		return nil, fmt.Errorf("exact: nise = %d, must be at least 1", nise)

@@ -52,15 +52,15 @@ func TestParallelExactDeterminism(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		blk := randKernelBlock(rng, 8+rng.Intn(12))
 		opt := defaultOpts()
-		seqSingle, err := SingleCut(blk, opt, nil)
+		seqSingle, err := SingleCutContext(context.Background(), blk, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqIter, err := Iterative(blk, opt, 3)
+		seqIter, err := IterativeContext(context.Background(), blk, opt, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqMulti, err := MultiCut(blk, opt, 2)
+		seqMulti, err := MultiCutContext(context.Background(), blk, opt, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,17 +68,17 @@ func TestParallelExactDeterminism(t *testing.T) {
 			for _, d := range depths {
 				popt := opt
 				popt.Workers, popt.SplitDepth = w, d
-				parSingle, err := SingleCut(blk, popt, nil)
+				parSingle, err := SingleCutContext(context.Background(), blk, popt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameCut(t, "single", seqSingle, parSingle)
-				parIter, err := Iterative(blk, popt, 3)
+				parIter, err := IterativeContext(context.Background(), blk, popt, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameCuts(t, "iterative", seqIter, parIter)
-				parMulti, err := MultiCut(blk, popt, 2)
+				parMulti, err := MultiCutContext(context.Background(), blk, popt, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,14 +97,14 @@ func TestParallelExactKernelSuite(t *testing.T) {
 	for _, spec := range kernels.All() {
 		blk := spec.App.Blocks[0]
 		if spec.CriticalSize <= 100 {
-			seq, err := Iterative(blk, opt, 4)
+			seq, err := IterativeContext(context.Background(), blk, opt, 4)
 			if err != nil {
 				t.Fatalf("%s: %v", spec.Name, err)
 			}
 			for _, w := range []int{2, 5} {
 				popt := opt
 				popt.Workers = w
-				par, err := Iterative(blk, popt, 4)
+				par, err := IterativeContext(context.Background(), blk, popt, 4)
 				if err != nil {
 					t.Fatalf("%s (workers %d): %v", spec.Name, w, err)
 				}
@@ -112,14 +112,14 @@ func TestParallelExactKernelSuite(t *testing.T) {
 			}
 		}
 		if spec.CriticalSize <= 25 {
-			seq, err := MultiCut(blk, opt, 2)
+			seq, err := MultiCutContext(context.Background(), blk, opt, 2)
 			if err != nil {
 				t.Fatalf("%s: %v", spec.Name, err)
 			}
 			for _, w := range []int{2, 5} {
 				popt := opt
 				popt.Workers = w
-				par, err := MultiCut(blk, popt, 2)
+				par, err := MultiCutContext(context.Background(), blk, popt, 2)
 				if err != nil {
 					t.Fatalf("%s (workers %d): %v", spec.Name, w, err)
 				}
@@ -197,7 +197,7 @@ func TestSingleCutBudgetParallel(t *testing.T) {
 	opt := defaultOpts()
 	opt.Budget = 50
 	opt.Workers = 4
-	if _, err := SingleCut(blk, opt, nil); !errors.Is(err, ErrBudget) {
+	if _, err := SingleCutContext(context.Background(), blk, opt, nil); !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 }
@@ -213,12 +213,12 @@ func TestExcludedRespectedParallel(t *testing.T) {
 			excl.Set(v)
 		}
 		opt := defaultOpts()
-		seq, err := SingleCut(blk, opt, excl)
+		seq, err := SingleCutContext(context.Background(), blk, opt, excl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt.Workers = 3
-		par, err := SingleCut(blk, opt, excl)
+		par, err := SingleCutContext(context.Background(), blk, opt, excl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,23 +250,23 @@ func TestSplitDepthClamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	blk := randKernelBlock(rng, 18)
 	opt := defaultOpts()
-	seq, err := SingleCut(blk, opt, nil)
+	seq, err := SingleCutContext(context.Background(), blk, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers, opt.SplitDepth = 4, 1<<20
-	par, err := SingleCut(blk, opt, nil)
+	par, err := SingleCutContext(context.Background(), blk, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameCut(t, "clamped-depth", seq, par)
 	popt := defaultOpts()
 	popt.Workers, popt.SplitDepth = 4, 1<<20
-	multiSeq, err := MultiCut(blk, defaultOpts(), 2)
+	multiSeq, err := MultiCutContext(context.Background(), blk, defaultOpts(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiPar, err := MultiCut(blk, popt, 2)
+	multiPar, err := MultiCutContext(context.Background(), blk, popt, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -32,11 +33,11 @@ func TestSeedBoundDeterminism(t *testing.T) {
 		opt := defaultOpts()
 		var baseExplored int64
 		opt.Explored = &baseExplored
-		refSingle, err := SingleCut(blk, opt, nil)
+		refSingle, err := SingleCutContext(context.Background(), blk, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refMulti, err := MultiCut(blk, opt, 2)
+		refMulti, err := MultiCutContext(context.Background(), blk, opt, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,14 +53,14 @@ func TestSeedBoundDeterminism(t *testing.T) {
 				var seededExplored int64
 				sopt.Explored = &seededExplored
 				if seed <= meritOrZero(refSingle) {
-					gotSingle, err := SingleCut(blk, sopt, nil)
+					gotSingle, err := SingleCutContext(context.Background(), blk, sopt, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameCut(t, "seeded single", refSingle, gotSingle)
 				}
 				if seed <= optimum {
-					gotMulti, err := MultiCut(blk, sopt, 2)
+					gotMulti, err := MultiCutContext(context.Background(), blk, sopt, 2)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -97,7 +98,7 @@ func TestSeedBoundKernelSuite(t *testing.T) {
 		opt.Budget = 2_000_000_000
 		var baseExplored int64
 		opt.Explored = &baseExplored
-		ref, err := MultiCut(blk, opt, 4)
+		ref, err := MultiCutContext(context.Background(), blk, opt, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -105,7 +106,7 @@ func TestSeedBoundKernelSuite(t *testing.T) {
 		sopt.SeedBound = summedMerit(ref)
 		var seededExplored int64
 		sopt.Explored = &seededExplored
-		got, err := MultiCut(blk, sopt, 4)
+		got, err := MultiCutContext(context.Background(), blk, sopt, 4)
 		if err != nil {
 			t.Fatalf("%s seeded: %v", spec.Name, err)
 		}
@@ -133,7 +134,7 @@ func TestBoundRaiseMidRun(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		blk := randKernelBlock(rng, 12+rng.Intn(8))
 		opt := defaultOpts()
-		ref, err := MultiCut(blk, opt, 2)
+		ref, err := MultiCutContext(context.Background(), blk, opt, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestBoundRaiseMidRun(t *testing.T) {
 					bopt.Bound.Raise(optimum * float64(i) / 8)
 				}
 			}()
-			got, err := MultiCut(blk, bopt, 2)
+			got, err := MultiCutContext(context.Background(), blk, bopt, 2)
 			close(done)
 			wg.Wait()
 			if err != nil {
@@ -195,12 +196,12 @@ func TestIterativeSeedRejected(t *testing.T) {
 	blk := randKernelBlock(rng, 10)
 	opt := defaultOpts()
 	opt.SeedBound = 1
-	if _, err := Iterative(blk, opt, 2); err == nil || !strings.Contains(err.Error(), "bound-seeded") {
+	if _, err := IterativeContext(context.Background(), blk, opt, 2); err == nil || !strings.Contains(err.Error(), "bound-seeded") {
 		t.Fatalf("SeedBound on Iterative: err = %v, want bound-seeded rejection", err)
 	}
 	opt = defaultOpts()
 	opt.Bound = NewBound()
-	if _, err := Iterative(blk, opt, 2); err == nil || !strings.Contains(err.Error(), "bound-seeded") {
+	if _, err := IterativeContext(context.Background(), blk, opt, 2); err == nil || !strings.Contains(err.Error(), "bound-seeded") {
 		t.Fatalf("Bound on Iterative: err = %v, want bound-seeded rejection", err)
 	}
 }
@@ -214,10 +215,10 @@ func TestSeedBoundValidation(t *testing.T) {
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		opt := defaultOpts()
 		opt.SeedBound = bad
-		if _, err := SingleCut(blk, opt, nil); err == nil {
+		if _, err := SingleCutContext(context.Background(), blk, opt, nil); err == nil {
 			t.Fatalf("SingleCut accepted SeedBound %v", bad)
 		}
-		if _, err := MultiCut(blk, opt, 2); err == nil {
+		if _, err := MultiCutContext(context.Background(), blk, opt, 2); err == nil {
 			t.Fatalf("MultiCut accepted SeedBound %v", bad)
 		}
 	}

@@ -1,16 +1,16 @@
 // Package exact implements the optimal ISE identification baselines the
 // paper compares against (its reference [3], Atasu/Pozzi/Ienne DAC 2003):
 //
-//   - SingleCut: exhaustive enumeration of the best single feasible cut of
+//   - SingleCutContext: exhaustive enumeration of the best single feasible cut of
 //     a block, with the DAC'03 prunings (reverse-topological branching,
 //     monotone output-port count, permanent-input count, convexity
 //     blocking, merit upper bound);
-//   - Iterative (iterative exact single-cut): repeatedly find the exact
+//   - IterativeContext (iterative exact single-cut): repeatedly find the exact
 //     best cut, freeze it and repeat — the paper's "Iterative";
-//   - MultiCut: exact joint assignment of nodes to NISE cuts — the
+//   - MultiCutContext: exact joint assignment of nodes to NISE cuts — the
 //     paper's "Exact", practical only for small blocks.
 //
-// Both entry points refuse blocks beyond a configurable node limit and
+// All entry points refuse blocks beyond a configurable node limit and
 // abort when a search-node budget is exhausted, mirroring the paper's
 // observation that the exact approaches fail on large basic blocks such as
 // AES (696 nodes).
@@ -85,7 +85,7 @@ type Options struct {
 	// SeedBound pre-loads the shared best-bound before the search starts
 	// (0 = unseeded). It MUST be a merit some feasible assignment of the
 	// search actually achieves (e.g. the summed merit of K-L's disjoint
-	// feasible cuts for MultiCut): pruning against the bound is strict
+	// feasible cuts for MultiCutContext): pruning against the bound is strict
 	// (ub < bound), so any seed <= the optimum leaves the result
 	// bit-identical to an unseeded run while pruning strictly-worse
 	// subtrees from step one. A seed above the optimum silently discards
@@ -103,8 +103,8 @@ type Options struct {
 	Bound *Bound
 	// Explored, when non-nil, receives the run's total explored
 	// search-tree node count, added once before the entry point returns
-	// (accumulating across the single-cut rounds of Iterative). It feeds
-	// the service's seeded-vs-unseeded pruning metrics.
+	// (accumulating across the single-cut rounds of IterativeContext).
+	// It feeds the service's seeded-vs-unseeded pruning metrics.
 	Explored *int64
 }
 
@@ -246,16 +246,11 @@ func (s *singleCutSearch) saveBlocked(i int) *graph.BitSet {
 	return sv
 }
 
-// SingleCut returns the feasible cut of the block maximizing merit
+// SingleCutContext returns the feasible cut of the block maximizing merit
 // λ(C) = latSW(C) − latHW(C), or nil when no cut has positive merit. Nodes
-// in excluded (may be nil) cannot join the cut.
-func SingleCut(blk *ir.Block, opt Options, excluded *graph.BitSet) (*core.Cut, error) {
-	return SingleCutContext(context.Background(), blk, opt, excluded)
-}
-
-// SingleCutContext is SingleCut with cancellation: the branch-and-bound
-// aborts mid-search (checked every few thousand explored nodes) and
-// returns ctx.Err().
+// in excluded (may be nil) cannot join the cut. The branch-and-bound
+// honors cancellation mid-search (checked every few thousand explored
+// nodes) and returns ctx.Err().
 func SingleCutContext(ctx context.Context, blk *ir.Block, opt Options, excluded *graph.BitSet) (*core.Cut, error) {
 	if err := checkOptions(&opt, blk); err != nil {
 		return nil, err
@@ -569,26 +564,23 @@ func (s *singleCutSearch) branchExclude(i, v int) {
 	}
 }
 
-// Iterative implements the paper's "Iterative" baseline: the exact best
-// single cut is identified, its nodes are frozen, and the process repeats
-// until nise cuts are found or no positive-merit cut remains.
-func Iterative(blk *ir.Block, opt Options, nise int) ([]*core.Cut, error) {
-	return IterativeContext(context.Background(), blk, opt, nise)
-}
-
-// IterativeContext is Iterative with cancellation (see SingleCutContext);
-// the cuts found before the abort are returned alongside ctx.Err().
+// IterativeContext implements the paper's "Iterative" baseline: the exact
+// best single cut is identified, its nodes are frozen, and the process
+// repeats until nise cuts are found or no positive-merit cut remains. On
+// cancellation (see SingleCutContext) the cuts found before the abort are
+// returned alongside ctx.Err().
 //
 // Seeding (Options.SeedBound, Options.Bound) is rejected: each round is a
 // fresh single-cut search whose own optimum shrinks as nodes freeze, so no
 // single external merit is a sound bound for every round — a joint-merit
-// seed (the only kind a producer like K-L can certify) belongs to MultiCut.
+// seed (the only kind a producer like K-L can certify) belongs to
+// MultiCutContext.
 func IterativeContext(ctx context.Context, blk *ir.Block, opt Options, nise int) ([]*core.Cut, error) {
 	if nise < 1 {
 		return nil, fmt.Errorf("exact: nise = %d, must be at least 1", nise)
 	}
 	if opt.SeedBound != 0 || opt.Bound != nil {
-		return nil, fmt.Errorf("exact: Iterative cannot be bound-seeded (per-round optima shrink; seed MultiCut instead)")
+		return nil, fmt.Errorf("exact: Iterative cannot be bound-seeded (per-round optima shrink; seed MultiCutContext instead)")
 	}
 	excluded := graph.NewBitSet(blk.N())
 	var cuts []*core.Cut

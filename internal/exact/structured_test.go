@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestIterativeOnStructuredBlock(t *testing.T) {
 
 	opt := defaultOpts()
 	want := bruteForceBest(blk, opt)
-	cuts, err := Iterative(blk, opt, 1)
+	cuts, err := IterativeContext(context.Background(), blk, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestMultiCutSymmetryBreaking(t *testing.T) {
 	blk := bu.MustBuild()
 	opt := defaultOpts()
 	opt.Budget = 200_000 // tight: explodes without symmetry breaking
-	cuts, err := MultiCut(blk, opt, 2)
+	cuts, err := MultiCutContext(context.Background(), blk, opt, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSingleCutFrozenEverything(t *testing.T) {
 	blk := bu.MustBuild()
 	excl := graph.NewBitSet(1)
 	excl.Set(0)
-	cut, err := SingleCut(blk, defaultOpts(), excl)
+	cut, err := SingleCutContext(context.Background(), blk, defaultOpts(), excl)
 	if err != nil || cut != nil {
 		t.Fatalf("cut = %v, err = %v; want nil, nil", cut, err)
 	}
@@ -100,7 +101,7 @@ func TestSingleCutLiveOutPorts(t *testing.T) {
 	blk := bu.MustBuild()
 	opt := defaultOpts()
 	opt.MaxIn, opt.MaxOut = 4, 1
-	cut, err := SingleCut(blk, opt, nil)
+	cut, err := SingleCutContext(context.Background(), blk, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

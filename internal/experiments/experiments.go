@@ -16,11 +16,15 @@
 // internal/search — there are no per-algorithm driver loops here — and
 // fans independent benchmark/configuration cells out across
 // Options.Workers with a deterministic merge, so results are identical to
-// a sequential run. Every harness returns plain row structs and has a
-// Print* companion that renders the same rows the paper plots.
+// a sequential run. The sweeps are not cancellable: they fan out under
+// context.Background(), so Runner.ForEachContext's cancellation error
+// cannot occur and is discarded.
+// Every harness returns plain row structs and has a Print* companion that
+// renders the same rows the paper plots.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -161,12 +165,12 @@ func Figure4(o Options) []Fig4Row {
 		ok    bool
 	}
 	results := make([]cellResult, len(specs)*len(cells))
-	r.ForEach(len(results), func(i int) {
+	_ = r.ForEachContext(context.Background(), len(results), func(i int) {
 		spec := specs[i/len(cells)]
 		cell := cells[i%len(cells)]
 		eng := cell.New(search.NewCostCache())
 		hot := spec.App.Blocks[0]
-		cuts, stats, err := eng.Run(hot, obj, cell.Limits)
+		cuts, stats, err := eng.RunContext(context.Background(), hot, obj, cell.Limits)
 		if err != nil {
 			results[i] = cellResult{note: shortErr(err)}
 			return
@@ -265,14 +269,14 @@ func Figure6(o Options, nise int) []Fig6Point {
 	// cost-cache entries.
 	app := kernels.AES()
 	out := make([]Fig6Point, len(IOSweep))
-	r.ForEach(len(IOSweep), func(i int) {
+	_ = r.ForEachContext(context.Background(), len(IOSweep), func(i int) {
 		io := IOSweep[i]
 		oo := o
 		oo.MaxIn, oo.MaxOut, oo.NISE = io[0], io[1], nise
 		oo.Workers = 1 // sweep cells already saturate the pool
 
 		ga := &search.Genetic{Seed: oo.GASeed, Cache: r.Cache}
-		gaCuts, _, err := ga.Run(app.Blocks[0], search.Merit(oo.Model), oo.limits(0))
+		gaCuts, _, err := ga.RunContext(context.Background(), app.Blocks[0], search.Merit(oo.Model), oo.limits(0))
 		gaSpeed := 1.0
 		if err == nil {
 			sels := eval.ClaimAllWithReuse(app, gaCuts, func(*core.Cut) int { return 0 })
@@ -315,7 +319,7 @@ func Figure7(o Options) []Fig7Row {
 	r.Cache = search.NewCostCache()
 	app := kernels.AES()
 	rows := make([]*Fig7Row, len(IOSweep))
-	r.ForEach(len(IOSweep), func(i int) {
+	_ = r.ForEachContext(context.Background(), len(IOSweep), func(i int) {
 		io := IOSweep[i]
 		oo := o
 		oo.MaxIn, oo.MaxOut = io[0], io[1]
@@ -383,14 +387,14 @@ func ablationSweep(o Options, variants []string, mod func(i int, cfg *core.Confi
 	// serves all variant × benchmark cells.
 	r.Cache = search.NewCostCache()
 	speeds := make([]float64, len(variants)*len(specs))
-	r.ForEach(len(speeds), func(i int) {
+	_ = r.ForEachContext(context.Background(), len(speeds), func(i int) {
 		vi, si := i/len(specs), i%len(specs)
 		spec := specs[si]
 		cfg := o.isegenConfig()
 		cfg.Workers = 1 // cells already saturate the pool
 		mod(vi, &cfg)
 		inner := &search.Runner{Workers: 1, Cache: r.Cache}
-		cuts, _, err := inner.Generate(spec.App, cfg, search.Merit(o.Model), nil)
+		cuts, _, err := inner.GenerateContext(context.Background(), spec.App, cfg, search.Merit(o.Model), nil)
 		if err != nil {
 			speeds[i] = -1
 			return
@@ -452,7 +456,7 @@ func AblationRestarts(o Options) []AblationRow {
 	inner := o
 	inner.Workers = 1 // variant cells already saturate the pool
 	rows := make([]AblationRow, len(restarts))
-	r.ForEach(len(restarts), func(i int) {
+	_ = r.ForEachContext(context.Background(), len(restarts), func(i int) {
 		speed := 1.0
 		if rep, err := generateWithReuseRestarts(app, inner, restarts[i], r.Cache); err == nil {
 			speed = rep.Speedup
@@ -489,7 +493,7 @@ func SimulationValidation(o Options) ([]SimRow, error) {
 	errs := make([]error, len(specs))
 	inner := o
 	inner.Workers = 1 // benchmark cells already saturate the pool
-	o.runner().ForEach(len(specs), func(i int) {
+	_ = o.runner().ForEachContext(context.Background(), len(specs), func(i int) {
 		rows[i], errs[i] = simOne(specs[i].Name, specs[i].App, inner)
 	})
 	for i, err := range errs {
@@ -517,7 +521,7 @@ func EnergyCodeSize(o Options) ([]EnergyRow, error) {
 	errs := make([]error, len(specs))
 	inner := o
 	inner.Workers = 1 // benchmark cells already saturate the pool
-	o.runner().ForEach(len(specs), func(i int) {
+	_ = o.runner().ForEachContext(context.Background(), len(specs), func(i int) {
 		spec := specs[i]
 		rep, err := generateWithReuse(spec.App, inner, nil)
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/graph"
@@ -28,7 +29,7 @@ func selectionsWithReuse(app *ir.Application, o Options, cache *search.CostCache
 	var sels []eval.Selection
 	claimer := eval.NewClaimer(app)
 	r := &search.Runner{Workers: cfg.Workers, Cache: cache}
-	_, _, err := r.Generate(app, cfg, search.ReuseAware(app, o.Model, claimer),
+	_, _, err := r.GenerateContext(context.Background(), app, cfg, search.ReuseAware(app, o.Model, claimer),
 		func(bi int, cut *core.Cut, excluded []*graph.BitSet) {
 			sel := claimer.Claim(bi, cut, excluded)
 			if len(sel.Instances) > 0 {
@@ -51,7 +52,7 @@ func generateWithReuseRestarts(app *ir.Application, o Options, restarts int, cac
 	var sels []eval.Selection
 	claimer := eval.NewClaimer(app)
 	r := &search.Runner{Workers: cfg.Workers, Cache: cache}
-	_, _, err := r.Generate(app, cfg, search.Merit(o.Model),
+	_, _, err := r.GenerateContext(context.Background(), app, cfg, search.Merit(o.Model),
 		func(bi int, cut *core.Cut, excluded []*graph.BitSet) {
 			sel := claimer.Claim(bi, cut, excluded)
 			if len(sel.Instances) > 0 {

@@ -1,6 +1,7 @@
 package genetic
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -65,7 +66,7 @@ func TestGASingleCutFeasibleAndGood(t *testing.T) {
 	totalRatio, trials := 0.0, 0
 	for trial := 0; trial < 12; trial++ {
 		blk := randKernelBlock(rng, 5+rng.Intn(10))
-		optimal, err := exact.SingleCut(blk, exact.Options{
+		optimal, err := exact.SingleCutContext(context.Background(), blk, exact.Options{
 			MaxIn: opt.MaxIn, MaxOut: opt.MaxOut, Model: opt.Model,
 		}, nil)
 		if err != nil {

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -66,7 +67,7 @@ func TestFigure1LargeScaleReuse(t *testing.T) {
 	var got []eval.Selection
 	claimer := eval.NewClaimer(app)
 	r := &search.Runner{Workers: 1}
-	_, _, err := r.Generate(app, cfg, search.ReuseAware(app, model, claimer),
+	_, _, err := r.GenerateContext(context.Background(), app, cfg, search.ReuseAware(app, model, claimer),
 		func(bi int, cut *core.Cut, excluded []*graph.BitSet) {
 			sel := claimer.Claim(bi, cut, excluded)
 			if len(sel.Instances) > 0 {

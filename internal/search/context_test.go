@@ -137,7 +137,7 @@ func TestGenerateContextMatchesGenerate(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.MaxIn, cfg.MaxOut, cfg.NISE = 4, 2, 4
 	r := &Runner{Workers: 2}
-	want, _, err := r.Generate(app, cfg, nil, nil)
+	want, _, err := r.GenerateContext(context.Background(), app, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,12 +58,6 @@ type Limits struct {
 	// the tree into subtree tasks (0 = automatic). Results are identical
 	// for every depth.
 	SplitDepth int
-	// MaxFrontier bounds the Pareto frontier a multi-objective run
-	// accumulates (0 = unbounded): when the frontier would exceed the
-	// bound, the lowest-ranked point under the frontier's deterministic
-	// total order is evicted, so huge applications cannot grow
-	// Stats.Frontier without bound.
-	MaxFrontier int
 	// Deadline bounds the run's wall-clock time (racing engine only;
 	// 0 = none). When it expires the racer abandons the exact search and
 	// returns the best answer published so far — K-L's cuts, marked
@@ -73,7 +67,7 @@ type Limits struct {
 	Deadline time.Duration
 }
 
-// Stats reports what one Engine.Run did.
+// Stats reports what one Engine.RunContext did.
 type Stats struct {
 	// Engine is the canonical algorithm name (see Engine.Name).
 	Engine string
@@ -102,18 +96,18 @@ type Stats struct {
 // Engine identifies up to lim.NISE instruction-set extensions in one basic
 // block under the given objective. Implementations are stateless apart
 // from configuration and may be reused across blocks and goroutines.
-// Run requires an objective with a model (unlike Runner.Generate, which
-// can fall back to its Config's model when handed nil).
+// RunContext requires an objective with a model (unlike
+// Runner.GenerateContext, which can fall back to its Config's model when
+// handed nil).
 type Engine interface {
 	// Name returns the canonical algorithm name, matching the paper's
 	// Figure 4 legend ("ISEGEN", "Exact", "Iterative", "Genetic").
 	Name() string
-	Run(blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error)
-	// RunContext is Run with in-block cancellation: the K-L and exact
-	// engines poll ctx inside their inner loops (amortized, every few
-	// thousand search steps) and abort mid-search with ctx.Err(); the
-	// genetic engine checks between evolutions. Run is RunContext under
-	// context.Background().
+	// RunContext runs the engine on one block with in-block
+	// cancellation: the K-L and exact engines poll ctx inside their inner
+	// loops (amortized, every few thousand search steps) and abort
+	// mid-search with ctx.Err(); the genetic engine checks between
+	// generations.
 	RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error)
 }
 
@@ -149,31 +143,20 @@ func (e *KL) config(obj *Objective, lim *Limits) core.Config {
 	return cfg
 }
 
-// Run implements Engine: the greedy multi-cut drive of a single block,
-// delegated to Runner.Generate over a synthetic single-block application
-// so the round semantics live in exactly one place. Block-local scorers
-// see blockIdx 0 and a single-element excluded slice; application-scoped
-// objectives (ReuseAware, EnergyWeighted) are rejected — run those
-// through Runner.Generate with their own application.
-func (e *KL) Run(blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
-	return e.RunContext(context.Background(), blk, obj, lim)
-}
-
-// RunContext implements Engine; cancellation aborts mid-trajectory (see
-// core.Engine.TrajectoryContext).
+// RunContext implements Engine: the greedy multi-cut drive of a single
+// block, delegated to Runner.GenerateContext over a synthetic single-block
+// application so the round semantics live in exactly one place.
+// Block-local scorers see blockIdx 0 and a single-element excluded slice;
+// application-scoped objectives (ReuseAware, EnergyWeighted) are rejected
+// — run those through Runner.GenerateContext with their own application.
+// Cancellation aborts mid-trajectory (see core.Engine.TrajectoryContext).
 func (e *KL) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
 	stats := Stats{Engine: e.Name()}
 	if err := checkObjective(obj); err != nil {
 		return nil, stats, err
 	}
 	if obj.AppScoped() {
-		return nil, stats, fmt.Errorf("search: objective %q needs application context; use Runner.Generate", obj.Name)
-	}
-	if lim.MaxFrontier > 0 && obj.MultiObjective() && obj.maxFrontier != lim.MaxFrontier {
-		// The per-run Limits knob wins over the objective's own bound.
-		bounded := *obj
-		bounded.maxFrontier = lim.MaxFrontier
-		obj = &bounded
+		return nil, stats, fmt.Errorf("search: objective %q needs application context; use Runner.GenerateContext", obj.Name)
 	}
 	r := &Runner{Workers: lim.Workers, Cache: e.Cache}
 	app := &ir.Application{Name: blk.Name, Blocks: []*ir.Block{blk}}
@@ -192,15 +175,11 @@ type ExactJoint struct {
 // Name implements Engine.
 func (e *ExactJoint) Name() string { return "Exact" }
 
-// Run implements Engine. The exact search optimizes merit internally, so
-// objectives with a custom scorer are rejected rather than ignored.
-func (e *ExactJoint) Run(blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
-	return e.RunContext(context.Background(), blk, obj, lim)
-}
-
-// RunContext implements Engine; cancellation aborts the branch-and-bound
-// mid-block, and lim.SubtreeWorkers > 1 runs it on the in-block subtree
-// pool with bit-identical results.
+// RunContext implements Engine. The exact search optimizes merit
+// internally, so objectives with a custom scorer are rejected rather than
+// ignored. Cancellation aborts the branch-and-bound mid-block, and
+// lim.SubtreeWorkers > 1 runs it on the in-block subtree pool with
+// bit-identical results.
 func (e *ExactJoint) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
 	start := time.Now()
 	opt, err := exactOptions(e.Name(), obj, lim, e.Cache, e.Metrics)
@@ -228,15 +207,11 @@ type ExactIterative struct {
 // Name implements Engine.
 func (e *ExactIterative) Name() string { return "Iterative" }
 
-// Run implements Engine. The exact search optimizes merit internally, so
-// objectives with a custom scorer are rejected rather than ignored.
-func (e *ExactIterative) Run(blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
-	return e.RunContext(context.Background(), blk, obj, lim)
-}
-
-// RunContext implements Engine; cancellation aborts the branch-and-bound
-// mid-block, and lim.SubtreeWorkers > 1 runs it on the in-block subtree
-// pool with bit-identical results.
+// RunContext implements Engine. The exact search optimizes merit
+// internally, so objectives with a custom scorer are rejected rather than
+// ignored. Cancellation aborts the branch-and-bound mid-block, and
+// lim.SubtreeWorkers > 1 runs it on the in-block subtree pool with
+// bit-identical results.
 func (e *ExactIterative) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
 	start := time.Now()
 	opt, err := exactOptions(e.Name(), obj, lim, e.Cache, e.Metrics)
@@ -255,7 +230,7 @@ func (e *ExactIterative) RunContext(ctx context.Context, blk *ir.Block, obj *Obj
 // checkObjective rejects objectives no per-block engine can run with.
 func checkObjective(obj *Objective) error {
 	if obj == nil || obj.Model == nil {
-		return fmt.Errorf("search: Engine.Run needs an objective with a model (e.g. search.Merit(model))")
+		return fmt.Errorf("search: Engine.RunContext needs an objective with a model (e.g. search.Merit(model))")
 	}
 	return nil
 }
@@ -299,16 +274,10 @@ func (e *Genetic) Name() string { return "Genetic" }
 // SetSeed reseeds the engine (registry callers discover it by interface).
 func (e *Genetic) SetSeed(seed int64) { e.Seed = seed }
 
-// Run implements Engine. The evolution optimizes (penalty-shaped) merit
-// internally, so objectives with a custom scorer are rejected rather than
-// ignored.
-func (e *Genetic) Run(blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
-	return e.RunContext(context.Background(), blk, obj, lim)
-}
-
-// RunContext implements Engine. The evolution itself is not cancellable
-// mid-generation; the context is checked up front, so a cancelled request
-// skips the run entirely.
+// RunContext implements Engine. The evolution optimizes (penalty-shaped)
+// merit internally, so objectives with a custom scorer are rejected
+// rather than ignored. The evolution is not cancellable mid-generation;
+// the context is checked up front and between generations.
 func (e *Genetic) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {

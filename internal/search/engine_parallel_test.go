@@ -44,7 +44,7 @@ func TestEngineSubtreeWorkersDeterminism(t *testing.T) {
 				MaxIn: 4, MaxOut: 2, NISE: 2,
 				NodeLimit: search.DefaultNodeLimit(name), Budget: search.DefaultBudget,
 			}
-			seqCuts, _, err := eng.Run(blk, obj, &baseLim)
+			seqCuts, _, err := eng.RunContext(context.Background(), blk, obj, &baseLim)
 			if err != nil {
 				t.Fatalf("%s/%s sequential: %v", spec.Name, name, err)
 			}
@@ -53,7 +53,7 @@ func TestEngineSubtreeWorkersDeterminism(t *testing.T) {
 				for _, d := range []int{0, 3} {
 					lim := baseLim
 					lim.SubtreeWorkers, lim.SplitDepth = w, d
-					cuts, _, err := eng.Run(blk, obj, &lim)
+					cuts, _, err := eng.RunContext(context.Background(), blk, obj, &lim)
 					if err != nil {
 						t.Fatalf("%s/%s workers=%d depth=%d: %v", spec.Name, name, w, d, err)
 					}

@@ -30,10 +30,10 @@ type Objective struct {
 	// Model supplies software/hardware latencies, energy and area.
 	Model *latency.Model
 	// Score ranks candidates; nil picks maximum merit. When an
-	// objective is used through a per-block Engine.Run, the scorer is
+	// objective is used through a per-block Engine.RunContext, the scorer is
 	// invoked with blockIdx 0 and a single-element excluded slice;
 	// application-scoped objectives (marked by their constructors) are
-	// rejected there and only valid with Runner.Generate.
+	// rejected there and only valid with Runner.GenerateContext.
 	Score Scorer
 
 	// appScoped marks scorers that index into a whole application
@@ -45,12 +45,12 @@ type Objective struct {
 	// Frontier instead of ranking by one scalar.
 	pareto bool
 	// maxFrontier bounds the run's Frontier (pareto only; 0 = unbounded;
-	// see ParetoBounded and Limits.MaxFrontier).
+	// see ParetoBounded).
 	maxFrontier int
 }
 
 // AppScoped reports whether the objective needs application context and
-// is only usable with Runner.Generate.
+// is only usable with Runner.GenerateContext.
 func (o *Objective) AppScoped() bool { return o != nil && o.appScoped }
 
 // MultiObjective reports whether the objective selects by Pareto

@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestObjectiveRegistryRoundTrip(t *testing.T) {
 			}
 			cfg := core.DefaultConfig()
 			r := &search.Runner{}
-			cuts, stats, err := r.Generate(app, cfg, obj, nil)
+			cuts, stats, err := r.GenerateContext(context.Background(), app, cfg, obj, nil)
 			if err != nil {
 				t.Fatalf("Generate under %q: %v", name, err)
 			}
@@ -75,7 +76,7 @@ func TestLatencyBudgetedObjective(t *testing.T) {
 	app := kernels.Fbital00()
 	cfg := core.DefaultConfig()
 	r := &search.Runner{}
-	cuts, _, err := r.Generate(app, cfg, search.LatencyBudgeted(cfg.Model, 1), nil)
+	cuts, _, err := r.GenerateContext(context.Background(), app, cfg, search.LatencyBudgeted(cfg.Model, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestLatencyBudgetedObjective(t *testing.T) {
 			t.Fatalf("cut %v occupies %d cycles, budget 1", c.Nodes, c.HWCyclesInt())
 		}
 	}
-	merit, _, err := r.Generate(app, cfg, search.Merit(cfg.Model), nil)
+	merit, _, err := r.GenerateContext(context.Background(), app, cfg, search.Merit(cfg.Model), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestClassWeightedObjective(t *testing.T) {
 	weights := map[string]float64{classes[hot]: 0}
 	cfg := core.DefaultConfig()
 	r := &search.Runner{}
-	cuts, _, err := r.Generate(app, cfg, search.ClassWeighted(app, cfg.Model, nil, weights), nil)
+	cuts, _, err := r.GenerateContext(context.Background(), app, cfg, search.ClassWeighted(app, cfg.Model, nil, weights), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

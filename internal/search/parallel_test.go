@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func pipelineFingerprint(t *testing.T, app *ir.Application, workers int) string 
 	var sels []eval.Selection
 	claimer := eval.NewClaimer(app)
 	r := &search.Runner{Workers: workers}
-	_, _, err := r.Generate(app, cfg, search.ReuseAware(app, cfg.Model, claimer),
+	_, _, err := r.GenerateContext(context.Background(), app, cfg, search.ReuseAware(app, cfg.Model, claimer),
 		func(bi int, cut *core.Cut, excluded []*graph.BitSet) {
 			sel := claimer.Claim(bi, cut, excluded)
 			if len(sel.Instances) > 0 {
@@ -99,7 +100,7 @@ func TestCandidatesParallelMatchesSequential(t *testing.T) {
 		done := make(chan int, len(seeds))
 		for i := range seeds {
 			go func(i int) {
-				perSeed[i] = engPar.Trajectory(seeds[i])
+				perSeed[i], _ = engPar.TrajectoryContext(context.Background(), seeds[i])
 				done <- i
 			}(i)
 		}
@@ -138,11 +139,11 @@ func TestRunBlocksDeterministicOrder(t *testing.T) {
 
 	seqR := &search.Runner{Workers: 1}
 	parR := &search.Runner{Workers: 8}
-	seqCuts, _, err := seqR.RunBlocks(blocks, eng, obj, lim)
+	seqCuts, _, err := seqR.RunBlocksContext(context.Background(), blocks, eng, obj, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCuts, _, err := parR.RunBlocks(blocks, eng, obj, lim)
+	parCuts, _, err := parR.RunBlocksContext(context.Background(), blocks, eng, obj, lim)
 	if err != nil {
 		t.Fatal(err)
 	}

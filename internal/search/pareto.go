@@ -70,7 +70,7 @@ func (v Vector) String() string {
 // FrontierPoint is one non-dominated candidate on a Frontier.
 type FrontierPoint struct {
 	// Block is the index of the application block the candidate was
-	// identified in (0 for a single-block Engine.Run).
+	// identified in (0 for a single-block Engine.RunContext).
 	Block int
 	// Cut is the candidate itself.
 	Cut *core.Cut
@@ -197,7 +197,7 @@ func (f *Frontier) Points() []FrontierPoint {
 // The deterministic tie-break keeps DESIGN.md's contract: parallel and
 // sequential runs select the same cuts and build bit-identical frontiers.
 // Like Merit, the model may be left nil when the objective is used through
-// Runner.Generate, which resolves it from the Config.
+// Runner.GenerateContext, which resolves it from the Config.
 func Pareto(model *latency.Model) *Objective {
 	return &Objective{Name: "pareto", Model: model, pareto: true}
 }

@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func paretoFingerprint(t *testing.T, spec kernels.Spec, workers int) string {
 	cfg := core.DefaultConfig()
 	cfg.Workers = workers
 	r := &search.Runner{Workers: workers}
-	cuts, stats, err := r.Generate(app, cfg, search.Pareto(cfg.Model), nil)
+	cuts, stats, err := r.GenerateContext(context.Background(), app, cfg, search.Pareto(cfg.Model), nil)
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", spec.Name, workers, err)
 	}
@@ -87,7 +88,7 @@ func TestParetoFrontierNonDominated(t *testing.T) {
 	app := kernels.Fbital00()
 	cfg := core.DefaultConfig()
 	r := &search.Runner{}
-	cuts, stats, err := r.Generate(app, cfg, search.Pareto(cfg.Model), nil)
+	cuts, stats, err := r.GenerateContext(context.Background(), app, cfg, search.Pareto(cfg.Model), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestParetoRejectedByMeritOnlyEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := eng.Run(blk, search.Pareto(model), lim); err == nil || !strings.Contains(err.Error(), "cannot honor") {
+		if _, _, err := eng.RunContext(context.Background(), blk, search.Pareto(model), lim); err == nil || !strings.Contains(err.Error(), "cannot honor") {
 			t.Fatalf("engine %q with pareto objective: err = %v, want merit-only rejection", name, err)
 		}
 	}
@@ -142,7 +143,7 @@ func TestParetoRejectedByMeritOnlyEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cuts, stats, err := kl.Run(blk, search.Pareto(model), lim)
+	cuts, stats, err := kl.RunContext(context.Background(), blk, search.Pareto(model), lim)
 	if err != nil {
 		t.Fatalf("KL with pareto: %v", err)
 	}
@@ -165,7 +166,7 @@ func TestParetoBoundedFrontier(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.Workers = workers
 		r := &search.Runner{Workers: workers}
-		_, stats, err := r.Generate(app, cfg, search.ParetoBounded(model, 3), nil)
+		_, stats, err := r.GenerateContext(context.Background(), app, cfg, search.ParetoBounded(model, 3), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +199,9 @@ func TestParetoBoundedFrontier(t *testing.T) {
 	}
 }
 
-// TestLimitsMaxFrontierEngineRun: the per-run Limits knob bounds the
-// frontier through the Engine.Run path too.
+// TestLimitsMaxFrontierEngineRun: the objective's frontier bound
+// (ParetoBounded, the one frontier knob) holds through the per-block
+// Engine.RunContext path too.
 func TestLimitsMaxFrontierEngineRun(t *testing.T) {
 	blk := kernels.Fbital00().Blocks[0]
 	model := latency.Default()
@@ -207,8 +209,8 @@ func TestLimitsMaxFrontierEngineRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lim := &search.Limits{MaxIn: 4, MaxOut: 2, NISE: 4, MaxFrontier: 2}
-	_, stats, err := kl.Run(blk, search.Pareto(model), lim)
+	lim := &search.Limits{MaxIn: 4, MaxOut: 2, NISE: 4}
+	_, stats, err := kl.RunContext(context.Background(), blk, search.ParetoBounded(model, 2), lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,6 +218,6 @@ func TestLimitsMaxFrontierEngineRun(t *testing.T) {
 		t.Fatal("no frontier from bounded pareto run")
 	}
 	if stats.Frontier.Len() > 2 {
-		t.Fatalf("Limits.MaxFrontier=2 ignored: %d points", stats.Frontier.Len())
+		t.Fatalf("ParetoBounded(model, 2) ignored on the engine path: %d points", stats.Frontier.Len())
 	}
 }

@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -21,9 +22,10 @@ func fingerprint(cuts []*core.Cut) string {
 
 // TestPooledStateParallelDeterminism pins the pooled-trajectory restart
 // fan-out under the race detector: one long-lived Runner serving repeated
-// Generate calls — whose engines recycle State workspaces across seeds and
-// whose pools are hit concurrently by the worker fan-out — must produce
-// bit-identical cut lists on every call and for every worker count.
+// GenerateContext calls — whose engines recycle State workspaces across
+// seeds and whose pools are hit concurrently by the worker fan-out — must
+// produce bit-identical cut lists on every call and for every worker
+// count.
 func TestPooledStateParallelDeterminism(t *testing.T) {
 	model := latency.Default()
 	for _, spec := range []struct {
@@ -40,7 +42,7 @@ func TestPooledStateParallelDeterminism(t *testing.T) {
 			for rep := 0; rep < 3; rep++ {
 				cfg := core.DefaultConfig()
 				cfg.Workers = workers
-				cuts, _, err := r.Generate(spec.App, cfg, search.Merit(model), nil)
+				cuts, _, err := r.GenerateContext(context.Background(), spec.App, cfg, search.Merit(model), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

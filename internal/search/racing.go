@@ -68,12 +68,6 @@ type Racing struct {
 // Name implements Engine.
 func (e *Racing) Name() string { return "Racing" }
 
-// Run implements Engine. Like the exact engines, the racer optimizes merit
-// internally and rejects every other objective.
-func (e *Racing) Run(blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
-	return e.RunContext(context.Background(), blk, obj, lim)
-}
-
 // race is the per-run shared state of one RunContext: the event funnel
 // (serialized, merit-monotone, closed by the optimal event).
 type race struct {

@@ -114,7 +114,7 @@ func TestRacingEquivalence(t *testing.T) {
 			MaxIn: 4, MaxOut: 2, NISE: 4,
 			NodeLimit: DefaultNodeLimit("exact"), Budget: DefaultBudget,
 		}
-		refCuts, refStats, err := exactEng.Run(blk, obj, &baseLim)
+		refCuts, refStats, err := exactEng.RunContext(context.Background(), blk, obj, &baseLim)
 		if err != nil {
 			t.Fatalf("%s exact: %v", spec.Name, err)
 		}
@@ -128,7 +128,7 @@ func TestRacingEquivalence(t *testing.T) {
 				racer := &Racing{Cache: NewCostCache(), OnEvent: func(ev RaceEvent) { events = append(events, ev) }}
 				lim := baseLim
 				lim.Workers, lim.SubtreeWorkers = klW, subW
-				cuts, stats, err := racer.Run(blk, obj, &lim)
+				cuts, stats, err := racer.RunContext(context.Background(), blk, obj, &lim)
 				label := fmt.Sprintf("%s klW=%d subW=%d", spec.Name, klW, subW)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -167,7 +167,7 @@ func TestRacingSeedObserved(t *testing.T) {
 		blk := racingRandBlock(rng, 16+rng.Intn(6))
 		lim := Limits{MaxIn: 4, MaxOut: 2, NISE: 4, Budget: DefaultBudget}
 		exactEng := &ExactJoint{}
-		refCuts, refStats, err := exactEng.Run(blk, obj, &lim)
+		refCuts, refStats, err := exactEng.RunContext(context.Background(), blk, obj, &lim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestRacingExactWinsGated(t *testing.T) {
 	}
 	lim := &Limits{MaxIn: 4, MaxOut: 2, NISE: 4, Budget: DefaultBudget}
 	exactEng := &ExactJoint{}
-	refCuts, _, err := exactEng.Run(blk, obj, lim)
+	refCuts, _, err := exactEng.RunContext(context.Background(), blk, obj, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestRacingRejectsOversized(t *testing.T) {
 	blk := racingRandBlock(rng, 40)
 	racer := &Racing{}
 	lim := &Limits{MaxIn: 4, MaxOut: 2, NISE: 4, NodeLimit: 25}
-	if _, _, err := racer.Run(blk, Merit(latency.Default()), lim); err == nil {
+	if _, _, err := racer.RunContext(context.Background(), blk, Merit(latency.Default()), lim); err == nil {
 		t.Fatal("oversized block accepted")
 	}
 }
@@ -343,7 +343,7 @@ func TestRacingRejectsNonMerit(t *testing.T) {
 	model := latency.Default()
 	racer := &Racing{}
 	lim := &Limits{MaxIn: 4, MaxOut: 2, NISE: 2}
-	if _, _, err := racer.Run(blk, AreaWeighted(model, DefaultGatePenalty), lim); err == nil {
+	if _, _, err := racer.RunContext(context.Background(), blk, AreaWeighted(model, DefaultGatePenalty), lim); err == nil {
 		t.Fatal("area objective accepted by the racing engine")
 	}
 }

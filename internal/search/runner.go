@@ -21,17 +21,17 @@ import (
 // order for trajectories), so a Runner with N workers produces results
 // bit-identical to the sequential path; only wall-clock time changes.
 //
-// Every method has a Context variant that honors cancellation: request
-// timeouts and client disconnects (the serving scenario) abort between
-// work items, the pool drains without leaking goroutines, and ctx.Err()
-// is returned. The non-Context methods run under context.Background().
+// Every method honors cancellation: request timeouts and client
+// disconnects (the serving scenario) abort between work items, the pool
+// drains without leaking goroutines, and ctx.Err() is returned.
 type Runner struct {
 	// Workers bounds the pool; 0 means one worker per CPU core
 	// (runtime.GOMAXPROCS), 1 forces the sequential path.
 	Workers int
-	// Cache is the shared cut-costing cache. Nil is fine: Generate then
-	// memoizes within a single call (its driver rounds still overlap),
-	// while RunBlocks passes nil through to the engines.
+	// Cache is the shared cut-costing cache. Nil is fine:
+	// GenerateContext then memoizes within a single call (its driver
+	// rounds still overlap), while RunBlocksContext passes nil through to
+	// the engines.
 	Cache *CostCache
 }
 
@@ -147,16 +147,11 @@ func candidates(ctx context.Context, eng *core.Engine, w int) ([]*core.Cut, erro
 	return eng.Finalize(snaps), nil
 }
 
-// ClaimFunc is invoked by Generate after each cut is selected; it may
+// ClaimFunc is invoked by GenerateContext after each cut is selected; it may
 // freeze additional nodes (e.g. other isomorphic instances of the cut
 // discovered by the reuse matcher) by mutating the per-block excluded sets
 // it is handed. Claims run sequentially in selection order.
 type ClaimFunc func(blockIdx int, cut *core.Cut, excluded []*graph.BitSet)
-
-// Generate runs GenerateContext under context.Background().
-func (r *Runner) Generate(app *ir.Application, cfg core.Config, obj *Objective, claim ClaimFunc) ([]*core.Cut, Stats, error) {
-	return r.GenerateContext(context.Background(), app, cfg, obj, claim)
-}
 
 // GenerateContext solves the paper's Problem 2 over a whole application:
 // it repeatedly selects the block with the highest remaining speedup
@@ -184,7 +179,7 @@ func (r *Runner) GenerateContext(ctx context.Context, app *ir.Application, cfg c
 		obj = Merit(cfg.Model)
 	} else if obj.Model == nil {
 		// Resolve on a copy: the caller's Objective may be shared
-		// across concurrent Generate calls.
+		// across concurrent GenerateContext calls.
 		resolved := *obj
 		resolved.Model = cfg.Model
 		obj = &resolved
@@ -270,11 +265,6 @@ func (r *Runner) GenerateContext(ctx context.Context, app *ir.Application, cfg c
 	return cuts, stats, nil
 }
 
-// RunBlocks runs RunBlocksContext under context.Background().
-func (r *Runner) RunBlocks(blocks []*ir.Block, eng Engine, obj *Objective, lim *Limits) ([][]*core.Cut, []Stats, error) {
-	return r.RunBlocksContext(context.Background(), blocks, eng, obj, lim)
-}
-
 // RunBlocksContext fans the engine out over independent basic blocks on
 // the worker pool and merges results in input order. Per-block failures do
 // not stop the fan-out; the first error (by block order) is returned
@@ -299,11 +289,6 @@ func (r *Runner) RunBlocksContext(ctx context.Context, blocks []*ir.Block, eng E
 		}
 	}
 	return cuts, stats, nil
-}
-
-// ForEach runs ForEachContext under context.Background().
-func (r *Runner) ForEach(n int, fn func(i int)) {
-	_ = r.ForEachContext(context.Background(), n, fn)
 }
 
 // ForEachContext runs fn(0..n-1) on the runner's worker pool and waits. It

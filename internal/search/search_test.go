@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestGeneratePrefersHighScore(t *testing.T) {
 		},
 	}
 	r := &search.Runner{}
-	cuts, _, err := r.Generate(app, cfg, smallest, nil)
+	cuts, _, err := r.GenerateContext(context.Background(), app, cfg, smallest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestGeneratePrefersHighScore(t *testing.T) {
 		t.Errorf("scored pick = %v, want the lone mul", cuts[0].Nodes)
 	}
 	// Merit scoring picks max merit instead.
-	cuts2, _, err := r.Generate(app, cfg, search.Merit(cfg.Model), nil)
+	cuts2, _, err := r.GenerateContext(context.Background(), app, cfg, search.Merit(cfg.Model), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestGenerateMultiCut(t *testing.T) {
 	app := &ir.Application{Name: "app", Blocks: []*ir.Block{blk1, blk2}}
 	cfg := core.DefaultConfig()
 	cfg.NISE = 3
-	cuts, _, err := (&search.Runner{}).Generate(app, cfg, nil, nil)
+	cuts, _, err := (&search.Runner{}).GenerateContext(context.Background(), app, cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -133,7 +134,7 @@ func TestGenerateRespectsNISEOne(t *testing.T) {
 	app := &ir.Application{Name: "one", Blocks: []*ir.Block{blk}}
 	cfg := core.DefaultConfig()
 	cfg.NISE = 1
-	cuts, _, err := (&search.Runner{}).Generate(app, cfg, nil, nil)
+	cuts, _, err := (&search.Runner{}).GenerateContext(context.Background(), app, cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -150,7 +151,7 @@ func TestGenerateClaimCallback(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.NISE = 4
 	calls := 0
-	_, _, err := (&search.Runner{}).Generate(app, cfg, nil, func(bi int, cut *core.Cut, excluded []*graph.BitSet) {
+	_, _, err := (&search.Runner{}).GenerateContext(context.Background(), app, cfg, nil, func(bi int, cut *core.Cut, excluded []*graph.BitSet) {
 		calls++
 		if bi != 0 {
 			t.Errorf("block index = %d, want 0", bi)
@@ -174,7 +175,7 @@ func TestGenerateTerminatesWhenExhausted(t *testing.T) {
 	app := &ir.Application{Name: "x", Blocks: []*ir.Block{blk}}
 	cfg := core.DefaultConfig()
 	cfg.NISE = 100
-	cuts, _, err := (&search.Runner{}).Generate(app, cfg, nil, nil)
+	cuts, _, err := (&search.Runner{}).GenerateContext(context.Background(), app, cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -196,7 +197,7 @@ func TestEngineRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 		blk := buildDiamondBlock(t)
-		cuts, stats, err := eng.Run(blk, obj, lim)
+		cuts, stats, err := eng.RunContext(context.Background(), blk, obj, lim)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -224,7 +225,7 @@ func TestEngineNodeLimit(t *testing.T) {
 	blk := buildChain(t, 30)
 	lim := &search.Limits{MaxIn: 4, MaxOut: 2, NISE: 1, NodeLimit: 25}
 	eng := &search.ExactJoint{}
-	_, _, err := eng.Run(blk, search.Merit(latency.Default()), lim)
+	_, _, err := eng.RunContext(context.Background(), blk, search.Merit(latency.Default()), lim)
 	if !errors.Is(err, exact.ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
@@ -238,26 +239,26 @@ func TestEngineObjectiveGuards(t *testing.T) {
 	model := latency.Default()
 	lim := &search.Limits{MaxIn: 4, MaxOut: 2, NISE: 1}
 
-	// App-scoped objectives only work through Runner.Generate.
+	// App-scoped objectives only work through Runner.GenerateContext.
 	appObj := search.EnergyWeighted(app, model)
 	if !appObj.AppScoped() {
 		t.Fatal("EnergyWeighted must be app-scoped")
 	}
-	if _, _, err := (&search.KL{}).Run(blk, appObj, lim); err == nil {
+	if _, _, err := (&search.KL{}).RunContext(context.Background(), blk, appObj, lim); err == nil {
 		t.Error("KL.Run must reject app-scoped objectives")
 	}
 	// Merit-internal engines reject custom scorers.
 	scored := search.AreaWeighted(model, 1.0)
-	if _, _, err := (&search.Genetic{Seed: 1}).Run(blk, scored, lim); err == nil {
+	if _, _, err := (&search.Genetic{Seed: 1}).RunContext(context.Background(), blk, scored, lim); err == nil {
 		t.Error("Genetic.Run must reject scored objectives")
 	}
-	if _, _, err := (&search.ExactIterative{}).Run(blk, scored, lim); err == nil {
+	if _, _, err := (&search.ExactIterative{}).RunContext(context.Background(), blk, scored, lim); err == nil {
 		t.Error("ExactIterative.Run must reject scored objectives")
 	}
 	// But the KL engine honors block-local scorers (a tiny penalty only
 	// breaks ties, so candidates survive).
 	tieBreak := search.AreaWeighted(model, 1e-9)
-	if cuts, _, err := (&search.KL{}).Run(blk, tieBreak, lim); err != nil || len(cuts) == 0 {
+	if cuts, _, err := (&search.KL{}).RunContext(context.Background(), blk, tieBreak, lim); err != nil || len(cuts) == 0 {
 		t.Errorf("KL.Run with block-local scorer: cuts=%d err=%v", len(cuts), err)
 	}
 }
@@ -302,12 +303,12 @@ func TestObjectiveVariants(t *testing.T) {
 	cfg.NISE = 1
 
 	r := &search.Runner{}
-	merit, _, err := r.Generate(app, cfg, search.Merit(model), nil)
+	merit, _, err := r.GenerateContext(context.Background(), app, cfg, search.Merit(model), nil)
 	if err != nil || len(merit) != 1 {
 		t.Fatalf("merit generate: %v (%d cuts)", err, len(merit))
 	}
 	// A prohibitive gate penalty forces a smaller (cheaper) cut.
-	area, _, err := r.Generate(app, cfg, search.AreaWeighted(model, 1.0), nil)
+	area, _, err := r.GenerateContext(context.Background(), app, cfg, search.AreaWeighted(model, 1.0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestObjectiveVariants(t *testing.T) {
 	}
 	// Energy saving of the merit cut is positive on this block, so the
 	// energy objective must find something too.
-	energy, _, err := r.Generate(app, cfg, search.EnergyWeighted(app, model), nil)
+	energy, _, err := r.GenerateContext(context.Background(), app, cfg, search.EnergyWeighted(app, model), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

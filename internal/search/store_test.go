@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,7 +37,7 @@ func generateWith(t *testing.T, cache *CostCache, app *ir.Application) {
 	cfg := core.DefaultConfig()
 	cfg.MaxIn, cfg.MaxOut, cfg.NISE = 4, 2, 4
 	r := &Runner{Workers: 1, Cache: cache}
-	if _, _, err := r.Generate(app, cfg, nil, nil); err != nil {
+	if _, _, err := r.GenerateContext(context.Background(), app, cfg, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

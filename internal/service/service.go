@@ -189,18 +189,6 @@ func orDefault(objective string) string {
 	return objective
 }
 
-// ObjectiveParams assembles the registry construction parameters from the
-// job params — the one conversion both the serving layer and the CLI use,
-// so a future objective knob cannot reach one surface and not the other.
-func (p Params) ObjectiveParams() isegen.ObjectiveParams {
-	return isegen.ObjectiveParams{
-		GatePenalty:   p.GatePenalty,
-		LatencyBudget: p.LatencyBudget,
-		ClassWeights:  p.ClassWeights,
-		MaxFrontier:   p.MaxFrontier,
-	}
-}
-
 // blockClasses are the classes the default classifier (search.BlockClass)
 // can produce — the only classifier reachable through the CLI and the
 // server, so any other class name in a weight list is a typo that would
@@ -339,7 +327,8 @@ type FrontierRecord struct {
 type RaceFrontierRecord struct {
 	Type  string `json:"type"`  // "frontier"
 	Stage string `json:"stage"` // "anytime" | "optimal"
-	// Engine is the racer that published ("ISEGEN" or "Exact").
+	// Engine is the racer that published ("ISEGEN", "Genetic" or
+	// "Exact").
 	Engine string `json:"engine"`
 	// Block is the index of the block being raced.
 	Block int `json:"block"`
@@ -408,20 +397,24 @@ func runApplication(ctx context.Context, app *ir.Application, p Params, cache *s
 	cfg.MaxIn, cfg.MaxOut, cfg.NISE, cfg.Workers = p.MaxIn, p.MaxOut, p.NISE, p.Workers
 	cfg.Model = defaultModel
 
+	op := isegen.ObjectiveParams{
+		GatePenalty: p.GatePenalty, LatencyBudget: p.LatencyBudget,
+		ClassWeights: p.ClassWeights, MaxFrontier: p.MaxFrontier,
+	}
 	var sels []isegen.Selection
 	var frontier *search.Frontier
 	if p.Reuse {
-		res, err := isegen.GenerateWithObjectiveContext(ctx, app, cfg, p.Objective, p.ObjectiveParams(), cache)
+		res, err := isegen.GenerateWithObjectiveContext(ctx, app, cfg, p.Objective, op, cache)
 		if err != nil {
 			return err
 		}
 		sels, frontier = res.Selections, res.Frontier
 	} else {
-		cuts, fr, err := isegen.GenerateCutsOnlyWithObjectiveContext(ctx, app, cfg, p.Objective, p.ObjectiveParams(), cache)
+		cuts, fr, err := isegen.GenerateCutsOnlyWithObjectiveContext(ctx, app, cfg, p.Objective, op, cache)
 		if err != nil {
 			return err
 		}
-		sels, frontier = SingleInstanceSelections(app, cuts), fr
+		sels, frontier = singleInstanceSelections(app, cuts), fr
 	}
 
 	blockIdx := blockIndex(app)
@@ -615,9 +608,10 @@ func emitSummary(app *ir.Application, p Params, sels []isegen.Selection, emit fu
 	for _, sel := range sels {
 		instances += len(sel.Instances)
 	}
-	// A valid .dfg may have zero dynamic weight (all freq 0), making the
-	// ratios 0/0; encoding/json rejects NaN/Inf, so degenerate ratios
-	// are reported as 0 rather than failing the stream.
+	// encoding/json rejects NaN/Inf, so a degenerate ratio is reported
+	// as 0 rather than failing the stream. Zero-weight applications, the
+	// obvious source of 0/0, never get here: dfgio.ParseApplication
+	// rejects them and Evaluate refuses them.
 	return emit(&Summary{
 		Type:         "summary",
 		Algo:         p.Algo,
@@ -690,11 +684,10 @@ func frontierRecord(fr *search.Frontier) *FrontierRecord {
 	return &FrontierRecord{Type: "frontier", Points: points}
 }
 
-// SingleInstanceSelections converts cuts into Selections counting each
-// cut once in its own block (no reuse claiming) — the shape the noreuse
-// flows and the per-block baselines share. Exported so cmd/isegen's
-// human-readable path uses the same conversion as the result stream.
-func SingleInstanceSelections(app *ir.Application, cuts []*core.Cut) []isegen.Selection {
+// singleInstanceSelections converts cuts into Selections counting each
+// cut once in its own block (no reuse claiming) — the shape of the
+// noreuse ISEGEN flow.
+func singleInstanceSelections(app *ir.Application, cuts []*core.Cut) []isegen.Selection {
 	blockIdx := blockIndex(app)
 	sels := make([]isegen.Selection, 0, len(cuts))
 	for _, c := range cuts {

@@ -461,17 +461,19 @@ func TestServiceStreamsProgressively(t *testing.T) {
 	}
 }
 
-// TestRunZeroWeightApplication pins the degenerate-input behavior: a
-// valid .dfg whose blocks all have freq 0 has no dynamic weight, so the
-// evaluator rejects it with a clear error after the block records were
-// already streamed — and never a JSON-encoding failure (the summary's
-// ratio fields are additionally NaN/Inf-guarded by finiteOrZero).
+// TestRunZeroWeightApplication pins the degenerate-input behavior of Run
+// itself: an application whose blocks all have freq 0 has no dynamic
+// weight. dfgio.ParseApplication rejects such input, but one built in code
+// can still reach Run; the evaluator then rejects it with a clear error —
+// and never a JSON-encoding failure (the summary's ratio fields are
+// additionally NaN/Inf-guarded by finiteOrZero).
 func TestRunZeroWeightApplication(t *testing.T) {
 	const text = "dfg z\nfreq 0\ninputs 2\n0 add i0 i1\n1 mul n0 i1 !out\n"
-	app, err := dfgio.ParseApplication("z", strings.NewReader(text))
+	blk, err := dfgio.Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
+	app := &ir.Application{Name: "z", Blocks: []*ir.Block{blk}}
 	var records []any
 	err = Run(context.Background(), app, DefaultParams(), search.NewCostCache(), func(v any) error {
 		records = append(records, v)
@@ -489,6 +491,32 @@ func TestRunZeroWeightApplication(t *testing.T) {
 	for _, rec := range records {
 		if _, ok := rec.(*BlockResult); !ok {
 			t.Fatalf("streamed %T for a rejected application, want only *BlockResult", rec)
+		}
+	}
+}
+
+// TestServiceRejectsZeroWeightUpload: an upload with no dynamic weight
+// (every block at freq 0) is a 400 from the parser, before any stream
+// bytes are committed — not a 200 whose stream ends in an error record.
+func TestServiceRejectsZeroWeightUpload(t *testing.T) {
+	srv := NewServer(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var zero bytes.Buffer
+	for _, line := range strings.SplitAfter(string(kernelDFG(t, kernels.Fbital00())), "\n") {
+		if strings.HasPrefix(line, "freq ") {
+			line = "freq 0\n"
+		}
+		zero.WriteString(line)
+	}
+	for _, algo := range []string{"isegen", "exact"} {
+		status, body := postSelect(t, ts, zero.Bytes(), "?algo="+algo)
+		if status != http.StatusBadRequest {
+			t.Fatalf("algo %s: status %d (%s), want 400", algo, status, body)
+		}
+		if bytes.Contains(body, []byte(`"type":"error"`)) || !bytes.Contains(body, []byte("no dynamic weight")) {
+			t.Fatalf("algo %s: body %s, want the parser's rejection and no stream error record", algo, body)
 		}
 	}
 }

@@ -226,12 +226,6 @@ func GenerateWithObjectiveContext(ctx context.Context, app *Application, cfg Con
 	return &Result{Selections: sels, Report: rep, Frontier: stats.Frontier}, nil
 }
 
-// ClaimAllWithReuse converts cuts identified by any algorithm into
-// Selections with the same reuse treatment Generate applies.
-func ClaimAllWithReuse(app *Application, cuts []*Cut, blockIdxOf func(*Cut) int) []Selection {
-	return eval.ClaimAllWithReuse(app, cuts, blockIdxOf)
-}
-
 // GenerateCutsOnly runs ISEGEN without reuse matching: each identified cut
 // counts once. This is the configuration used for the Figure 4 comparison,
 // where all four algorithms are evaluated identically.
@@ -302,20 +296,12 @@ func FindInstances(app *Application, patIdx int, cut *BitSet, perBlockLimit int)
 // al. (DAC'03) and the genetic formulation of Biswas et al. (DAC'04).
 // All drivers route through the unified internal/search engine layer.
 
-// NewSearchEngine returns the named engine ("isegen", "exact",
-// "iterative", "genetic" or "racing") wired to the shared cost cache (may
-// be nil).
-func NewSearchEngine(name string, cache *CostCache) (SearchEngine, error) {
-	return search.New(name, cache)
-}
-
 // RacingEngine is the anytime meta-engine: K-L and the genetic baseline
 // race the exact joint search on the same block, each heuristic's merit
-// seeding the exact search's best-bound, so the proven-optimal answer
-// (bit-identical to the exact engine alone) arrives sooner. OnEvent
-// observes each racer's publication;
-// SearchLimits.Deadline turns it into a best-answer-by-then search. See
-// DESIGN.md, "Racing anytime search".
+// seeding the exact search's best-bound until the proven-optimal answer
+// (bit-identical to the exact engine alone) replaces them. OnEvent
+// observes each racer's publication; SearchLimits.Deadline turns it into
+// a best-answer-by-then search. See DESIGN.md, "Racing anytime search".
 type RacingEngine = search.Racing
 
 // RaceEvent is one racing publication: a complete anytime or optimal
@@ -358,13 +344,6 @@ func SearchEngineNames() []string { return search.Names() }
 // otherwise).
 func DefaultNodeLimit(name string) int { return search.DefaultNodeLimit(name) }
 
-// DefaultSearchBudget is the standard exact-search node budget shared by
-// the CLI, the serving layer and the experiment harnesses.
-const DefaultSearchBudget = search.DefaultBudget
-
-// MeritObjective is the paper's objective: highest-merit candidate wins.
-func MeritObjective(model *Model) *Objective { return search.Merit(model) }
-
 // ParetoObjective is the multi-objective selector: dominance over
 // (merit, area, energy) vectors with a deterministic tie-break; the run
 // accumulates a Frontier (see search.Pareto).
@@ -384,7 +363,7 @@ func AreaWeightedObjective(model *Model, gatePenalty float64) *Objective {
 }
 
 // EnergyWeightedObjective scores candidates by frequency-weighted
-// per-execution energy saving (application-scoped; Runner.Generate only).
+// per-execution energy saving (application-scoped; Runner.GenerateContext only).
 func EnergyWeightedObjective(app *Application, model *Model) *Objective {
 	return search.EnergyWeighted(app, model)
 }
@@ -407,8 +386,8 @@ func ClassWeightedObjective(app *Application, model *Model, classOf func(*Block)
 func BlockClassOf(blk *Block) string { return search.BlockClass(blk) }
 
 // NewObjective constructs an objective by registry name (see
-// ObjectiveNames), mirroring NewSearchEngine. app is required by the
-// application-scoped objectives ("reuse", "energy", "class").
+// ObjectiveNames). app is required by the application-scoped objectives
+// ("reuse", "energy", "class").
 func NewObjective(name string, app *Application, model *Model, p ObjectiveParams) (*Objective, error) {
 	return search.NewObjective(name, app, model, p)
 }
@@ -445,7 +424,7 @@ func NewExactBound() *ExactBound { return exact.NewBound() }
 
 // ExactSingleCut finds the optimal single feasible cut of a block.
 func ExactSingleCut(blk *Block, opt ExactOptions, excluded *BitSet) (*Cut, error) {
-	return exact.SingleCut(blk, opt, excluded)
+	return ExactSingleCutContext(context.Background(), blk, opt, excluded)
 }
 
 // ExactSingleCutContext is ExactSingleCut with in-block cancellation: the
@@ -487,7 +466,7 @@ type GeneticOptions = genetic.Options
 // GeneticIterative finds up to nise cuts by repeated evolution.
 func GeneticIterative(blk *Block, opt GeneticOptions, nise int) ([]*Cut, error) {
 	eng := &search.Genetic{Seed: opt.Seed, Opt: &opt}
-	cuts, _, err := eng.Run(blk, search.Merit(opt.Model), &SearchLimits{
+	cuts, _, err := eng.RunContext(context.Background(), blk, search.Merit(opt.Model), &SearchLimits{
 		MaxIn: opt.MaxIn, MaxOut: opt.MaxOut, NISE: nise,
 	})
 	return cuts, err
