@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/graph"
+import (
+	"math/bits"
+
+	"repro/internal/graph"
+)
 
 // Weights are the α1..α5 control parameters of the Section 4.2 gain
 // function. The paper determines them experimentally; these are exposed so
@@ -257,79 +261,17 @@ func (t *trajectory) prepareGainContext() {
 	for _, s := range gc.order {
 		gc.compCP[s] = 0
 	}
-	for v := st.H.NextSet(0); v >= 0; v = st.H.NextSet(v + 1) {
-		s := gc.compOf[v]
-		if st.level[v] > gc.compCP[s] {
-			gc.compCP[s] = st.level[v]
+	for i, w := range st.H.Words() {
+		for ; w != 0; w &= w - 1 {
+			v := i*64 + bits.TrailingZeros64(w)
+			s := gc.compOf[v]
+			if st.level[v] > gc.compCP[s] {
+				gc.compCP[s] = st.level[v]
+			}
 		}
 	}
 	gc.totalCP = 0
 	for _, s := range gc.order {
 		gc.totalCP += gc.compCP[s]
 	}
-}
-
-// gain evaluates the Section 4.2 gain of toggling node v against the
-// current partition, given eff, the predicted effect of that toggle.
-//
-//	Gain(v) = α1·M(C') − α2·Vio(C') + α3·Cv(v) + α4·L(v) + α5·I(v)
-//
-// M is the merit of the post-toggle cut, zeroed when the toggle breaks
-// convexity (an illegal cut has no speedup, but the other terms still let
-// it grow toward legality). Vio counts port-constraint violations. Cv is
-// the neighbour term, L the directional-growth term, I the
-// independent-subgraphs term.
-func (t *trajectory) gain(v int, eff ToggleEffect) float64 {
-	st := t.st
-	w := t.cfg.Weights
-	adding := !st.H.Has(v)
-
-	// α1: merit of the new cut, only meaningful when convex. The true
-	// merit counts whole AFU cycles; a small fraction of the raw delay
-	// slack is added as a tie-breaker so the search keeps a gradient
-	// inside plateaus where the integer merit does not move.
-	m := 0.0
-	if eff.Convex {
-		m = MeritOf(eff.SWSum, eff.HWCP) + 0.01*(float64(eff.SWSum)-eff.HWCP)
-	}
-
-	// α2: I/O port violation of the new cut.
-	vio := 0.0
-	if over := eff.NumIn - t.cfg.MaxIn; over > 0 {
-		vio += float64(over)
-	}
-	if over := eff.NumOut - t.cfg.MaxOut; over > 0 {
-		vio += float64(over)
-	}
-
-	// α3: neighbours already in the cut — an O(1) read off the state's
-	// incrementally maintained neighbour counts.
-	cv := float64(st.nbrH[v])
-	if !adding {
-		cv = -cv
-	}
-
-	// α4: directional growth — favour nodes close to a barrier so the
-	// cut grows from the barrier frontier outward (this is what makes
-	// the identified cuts line up with the repeated structures an expert
-	// would pick; see DESIGN.md §4).
-	dmin := st.upDist[v]
-	if st.downDist[v] < dmin {
-		dmin = st.downDist[v]
-	}
-	l := (float64(st.maxDist) - float64(dmin)) / float64(st.maxDist)
-	if !adding {
-		l = -l * 0.5 // removing a frontier node is mildly resisted
-	}
-
-	// α5: independent subgraphs — a cut node may move back to software
-	// when other components are large, freeing ports for them.
-	ind := 0.0
-	if !adding {
-		if ci := t.gc.compOf[v]; ci >= 0 {
-			ind = (t.gc.totalCP - t.gc.compCP[ci]) / (1 + t.gc.totalCP)
-		}
-	}
-
-	return w.Merit*m - w.IOPenalty*vio + w.Convexity*cv + w.LargeCut*l + w.Independent*ind
 }

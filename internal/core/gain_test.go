@@ -44,8 +44,8 @@ func TestGainIOPenaltyDominates(t *testing.T) {
 	eng.st.Toggle(0) // s1 in H
 	eng.prepareGainContext()
 
-	gViolating := eng.gain(1, eng.st.Probe(1)) // adding s2: 4 inputs, 2 outputs -> violation
-	gFriendly := eng.gain(2, eng.st.Probe(2))  // adding the xor consumer of s1
+	gViolating := kernelGain(t, eng, 1) // adding s2: 4 inputs, 2 outputs -> violation
+	gFriendly := kernelGain(t, eng, 2)  // adding the xor consumer of s1
 	if gViolating >= gFriendly {
 		t.Errorf("violating candidate gain %v should be far below friendly %v", gViolating, gFriendly)
 	}
@@ -71,8 +71,8 @@ func TestGainConvexityTermSigns(t *testing.T) {
 	eng.st.Toggle(0)
 	eng.prepareGainContext()
 
-	gNeighbour := eng.gain(1, eng.st.Probe(1))
-	gStranger := eng.gain(2, eng.st.Probe(2))
+	gNeighbour := kernelGain(t, eng, 1)
+	gStranger := kernelGain(t, eng, 2)
 	if gNeighbour <= gStranger {
 		t.Errorf("neighbour gain %v must exceed stranger gain %v", gNeighbour, gStranger)
 	}
@@ -80,7 +80,7 @@ func TestGainConvexityTermSigns(t *testing.T) {
 	// is outside). Add n1 then check removal resistance of n0.
 	eng.st.Toggle(1)
 	eng.prepareGainContext()
-	gRemove := eng.gain(0, eng.st.Probe(0)) // H->S toggle of n0, which has n1 in cut
+	gRemove := kernelGain(t, eng, 0) // H->S toggle of n0, which has n1 in cut
 	if gRemove >= 0 {
 		t.Errorf("removal of connected node should have negative neighbour term, got %v", gRemove)
 	}
@@ -106,8 +106,8 @@ func TestGainIndependentTerm(t *testing.T) {
 	eng.st.Toggle(2) // H = {m1, m2} ∪ {x}
 	eng.prepareGainContext()
 
-	gX := eng.gain(2, eng.st.Probe(2))  // removing the light xor: other component heavy
-	gM2 := eng.gain(1, eng.st.Probe(1)) // removing m2: other component light
+	gX := kernelGain(t, eng, 2)  // removing the light xor: other component heavy
+	gM2 := kernelGain(t, eng, 1) // removing m2: other component light
 	if gX <= gM2 {
 		t.Errorf("removing from the light component (%v) should be favoured over the heavy one (%v)", gX, gM2)
 	}
@@ -129,7 +129,7 @@ func TestGainMeritTieBreaker(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Weights = Weights{Merit: 1}
 	eng := gainHarness(t, blk, cfg)
-	gx, gs := eng.gain(0, eng.st.Probe(0)), eng.gain(1, eng.st.Probe(1))
+	gx, gs := kernelGain(t, eng, 0), kernelGain(t, eng, 1)
 	if gx <= gs {
 		t.Errorf("xor (cheaper datapath) should tie-break above shl: %v vs %v", gx, gs)
 	}

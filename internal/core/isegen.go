@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -120,8 +122,8 @@ type Engine struct {
 	cfg      Config
 	blk      *ir.Block
 	excluded *graph.BitSet
-	// state backs Seeds and Frozen queries; trajectories get their own.
-	state   *State
+	// frozen is the block's never-toggling node set, read by Seeds.
+	frozen  *graph.BitSet
 	metrics MetricsFunc
 	// pool recycles trajectory workspaces (State, mark/best bitsets, gain
 	// context, snapshot arena) across restart seeds: the restart fan-out
@@ -149,7 +151,7 @@ func NewEngine(blk *ir.Block, cfg Config, excluded *graph.BitSet) (*Engine, erro
 		cfg:      cfg,
 		blk:      blk,
 		excluded: ex,
-		state:    NewState(blk, cfg.Model, ex),
+		frozen:   frozenNodes(blk, cfg.Model, ex),
 		metrics:  MetricsOf,
 	}, nil
 }
@@ -200,15 +202,14 @@ func (e *Engine) Candidates() []*Cut {
 // DFGs. The singletons are distinct: a block with fewer unfrozen nodes than
 // Restarts-1 gets one per unfrozen node.
 func (e *Engine) Seeds() []*graph.BitSet {
-	st := e.state
-	out := []*graph.BitSet{graph.NewBitSet(st.n)}
+	out := []*graph.BitSet{graph.NewBitSet(e.blk.N())}
 	extra := e.cfg.Restarts - 1
 	if extra <= 0 {
 		return out
 	}
 	var unfrozen []int
-	for _, v := range st.Blk.DAG().Topo() {
-		if !st.Frozen.Has(v) {
+	for _, v := range e.blk.DAG().Topo() {
+		if !e.frozen.Has(v) {
 			unfrozen = append(unfrozen, v)
 		}
 	}
@@ -228,7 +229,7 @@ func (e *Engine) Seeds() []*graph.BitSet {
 			continue
 		}
 		prev = idx
-		seed := graph.NewBitSet(st.n)
+		seed := graph.NewBitSet(e.blk.N())
 		seed.Set(unfrozen[idx])
 		out = append(out, seed)
 	}
@@ -263,7 +264,7 @@ func (e *Engine) TrajectoryContext(ctx context.Context, seed *graph.BitSet) ([]C
 	e.putTrajectory(t)
 	if rec := obs.FromContext(ctx); rec != nil {
 		rec.Add(obs.KLToggles, o.toggles)
-		rec.Add(obs.KLProbes, o.probes)
+		rec.Add(obs.KLProbes, o.gainMisses)
 		rec.Add(obs.KLCPFullSweeps, o.cpFull)
 		rec.Add(obs.KLGainRebuilds, rebuilds)
 		rec.Add(obs.KLGainCacheHits, o.gainHits)
@@ -468,7 +469,7 @@ func (t *trajectory) klLoop(start *graph.BitSet) {
 			if t.cancelled() {
 				return
 			}
-			v := t.selectBestGain()
+			v, _ := t.selectBestGain()
 			if v < 0 {
 				break
 			}
@@ -495,24 +496,110 @@ func (t *trajectory) klLoop(start *graph.BitSet) {
 	}
 }
 
-// selectBestGain evaluates the gain of every unmarked, unfrozen node and
-// returns the argmax (lowest ID wins ties); -1 when no candidate remains.
-// The scan is O(n) amortized, not O(n·deg): each gain reads an O(1)
-// recombination of the candidate's cached probe digest with the global
-// scalars, and the preceding toggle's invalidation walk dirtied only the
-// candidates in its own neighbourhood — those few pay the full digest
-// rebuild, everyone else hits the cache (see State.Probe).
-func (t *trajectory) selectBestGain() int {
+// selectBestGain is the K-L step kernel: it evaluates the Section 4.2 gain
+// of every unmarked, unfrozen node and returns the argmax (lowest ID wins
+// ties) and its gain; -1 when no candidate remains.
+//
+//	Gain(v) = α1·M(C') − α2·Vio(C') + α3·Cv(v) + α4·L(v) + α5·I(v)
+//
+// M is the merit of the post-toggle cut C' = H△{v}, zeroed when the toggle
+// breaks convexity (an illegal cut has no speedup, but the other terms
+// still let it grow toward legality); a small fraction of the raw delay
+// slack is added as a tie-breaker so the search keeps a gradient inside
+// plateaus where the integer merit does not move. Vio counts port-limit
+// overruns. Cv is the neighbour term: ±|neighbours in H|, an O(1) read off
+// the state's counts. L is the directional-growth term — favour nodes
+// close to a barrier so the cut grows from the barrier frontier outward
+// (this is what makes the identified cuts line up with the repeated
+// structures an expert would pick; see DESIGN.md §4), mildly resisted on
+// removal. I is the independent-subgraphs term: a cut node may move back
+// to software when other components are large, freeing ports for them.
+//
+// The scan walks the open set ^(marked ∪ Frozen) one word at a time in
+// ascending node order and evaluates each gain inline: the candidate's
+// cached probe digest (rebuilt only when the preceding toggle's
+// invalidation walk dirtied it; see digestMutate) is recombined with the
+// step's global scalars, hoisted out of the loop, in O(1). The float
+// expressions keep the term order of the test-side reference (gain over
+// probeRef), so every gain is bit-identical to it.
+func (t *trajectory) selectBestGain() (int, float64) {
 	t.prepareGainContext()
+	st := t.st
+	st.prepareDigests()
+	w := t.cfg.Weights
+	maxIn, maxOut := t.cfg.MaxIn, t.cfg.MaxOut
+	numIn, numOut, swSum, nviol, hwCP := st.numIn, st.numOut, st.swSum, st.nviol, st.hwCP
+	removeCycles := HWCycles(hwCP)
+	totalCP, compCP, compOf := t.gc.totalCP, t.gc.compCP, t.gc.compOf
+	digest := st.digest
+	mw, fw, hw := t.marked.Words(), st.Frozen.Words(), st.H.Words()
+	vw, bw, aw := st.digestValid.Words(), st.below.Words(), st.above.Words()
+	var hits, misses int64
+
 	best, bestGain := -1, 0.0
-	for v := 0; v < t.st.n; v++ {
-		if t.marked.Has(v) || t.st.Frozen.Has(v) {
-			continue
-		}
-		g := t.gain(v, t.st.Probe(v))
-		if best < 0 || g > bestGain {
-			best, bestGain = v, g
+	for i := range mw {
+		open := ^(mw[i] | fw[i])
+		for open != 0 {
+			tz := bits.TrailingZeros64(open)
+			open &= open - 1
+			v := i*64 + tz
+			if v >= st.n {
+				break
+			}
+			bit := uint64(1) << uint(tz)
+			adding := hw[i]&bit == 0
+			d := &digest[v]
+			if vw[i]&bit != 0 {
+				hits++
+			} else {
+				misses++
+				st.computeDigest(v, adding, d)
+				vw[i] |= bit
+			}
+
+			// v has both an H-ancestor and an H-descendant: off the cut
+			// it is a violator, in the cut its removal makes it one.
+			straddles := bw[i]&aw[i]&bit != 0
+			m := 0.0
+			var cv, ind float64
+			l := st.growth[v]
+			if adding {
+				sw := swSum + st.swLat[v]
+				base := nviol
+				if straddles {
+					base--
+				}
+				if base <= 0 && d.pDescCnt == 0 && d.qAncCnt == 0 {
+					cp := math.Max(hwCP, d.levelIn+st.hwLat[v]+d.tailOut)
+					m = MeritOf(sw, cp) + 0.01*(float64(sw)-cp)
+				}
+				cv = float64(st.nbrH[v])
+			} else {
+				sw := swSum - st.swLat[v]
+				if !straddles && d.fixCnt == nviol {
+					m = float64(sw-removeCycles) + 0.01*(float64(sw)-hwCP)
+				}
+				cv = -float64(st.nbrH[v])
+				l = -l * 0.5
+				if ci := compOf[v]; ci >= 0 {
+					ind = (totalCP - compCP[ci]) / (1 + totalCP)
+				}
+			}
+			vio := 0.0
+			if over := numIn + d.dIn - maxIn; over > 0 {
+				vio += float64(over)
+			}
+			if over := numOut + d.dOut - maxOut; over > 0 {
+				vio += float64(over)
+			}
+
+			g := w.Merit*m - w.IOPenalty*vio + w.Convexity*cv + w.LargeCut*l + w.Independent*ind
+			if best < 0 || g > bestGain {
+				best, bestGain = v, g
+			}
 		}
 	}
-	return best
+	st.gainHits += hits
+	st.gainMisses += misses
+	return best, bestGain
 }

@@ -9,14 +9,62 @@ import (
 )
 
 // The from-scratch reference the incremental paths are pinned against.
-// Nothing here reads the probe-digest cache, the slot-maintained component
-// table or the incremental critical-path labels' history: probeRef scans
-// the State's counters directly, and refTrajectory re-derives every label
-// with SetCut's full relabel sweep and a component rebuild on every step.
+// Nothing in probeRef or refTrajectory reads the probe-digest cache, the
+// cone unions, the slot-maintained component table or the incremental
+// critical-path labels' history: probeRef scans the State's counters
+// directly, and refTrajectory re-derives every label with SetCut's full
+// relabel sweep and a component rebuild on every step. Probe is the
+// term-by-term recombination of the production digest cache, so the
+// cache's contents can be pinned against probeRef node by node.
+
+// ToggleEffect is the predicted outcome of toggling one node, computed
+// without mutating the state. Critical-path predictions for removals of
+// critical nodes are conservative upper bounds: the current hwCP is
+// returned, and the exact value is restored when the toggle commits.
+type ToggleEffect struct {
+	NumIn, NumOut int
+	Convex        bool
+	SWSum         int
+	HWCP          float64
+}
+
+// Probe predicts the effect of toggling v from the cached probe digest,
+// rebuilding the entry on a miss exactly as the step kernel does, and
+// recombining it with the global scalars (numIn/numOut, swSum, nviol,
+// hwCP) by the kernel's reads. It must equal probeRef bit for bit.
+func (s *State) Probe(v int) ToggleEffect {
+	adding := !s.H.Has(v)
+	s.prepareDigests()
+	d := &s.digest[v]
+	if s.digestValid.Has(v) {
+		s.gainHits++
+	} else {
+		s.gainMisses++
+		s.computeDigest(v, adding, d)
+		s.digestValid.Set(v)
+	}
+	var eff ToggleEffect
+	eff.NumIn = s.numIn + d.dIn
+	eff.NumOut = s.numOut + d.dOut
+	if adding {
+		eff.SWSum = s.swSum + s.swLat[v]
+		base := s.nviol
+		if s.viol.Has(v) {
+			base--
+		}
+		eff.Convex = base <= 0 && d.pDescCnt == 0 && d.qAncCnt == 0
+		eff.HWCP = math.Max(s.hwCP, d.levelIn+s.hwLat[v]+d.tailOut)
+	} else {
+		eff.SWSum = s.swSum - s.swLat[v]
+		eff.Convex = !(s.aCnt[v] > 0 && s.dCnt[v] > 0) && d.fixCnt == s.nviol
+		eff.HWCP = s.hwCP
+	}
+	return eff
+}
 
 // probeRef is the uncached Probe: the full I/O replay, convexity scan and
 // critical-path query. computeDigest derives the cached entries from the
-// same expressions, so production probes must match it bit for bit.
+// same expressions, so cached probes must match it bit for bit.
 func probeRef(s *State, v int) ToggleEffect {
 	adding := !s.H.Has(v)
 	var eff ToggleEffect
@@ -108,6 +156,65 @@ func (s *State) cpAfter(v int, adding bool) float64 {
 	return s.hwCP
 }
 
+// gain is the reference Section 4.2 gain of toggling node v against the
+// current partition, given eff, the predicted effect of that toggle: the
+// term-by-term form the production step kernel (selectBestGain) fuses
+// with the digest recombination. The kernel keeps this float term order,
+// so the two agree bit for bit (TestKernelGainMatchesReference).
+//
+//	Gain(v) = α1·M(C') − α2·Vio(C') + α3·Cv(v) + α4·L(v) + α5·I(v)
+func (t *trajectory) gain(v int, eff ToggleEffect) float64 {
+	st := t.st
+	w := t.cfg.Weights
+	adding := !st.H.Has(v)
+
+	// α1: merit of the new cut, only meaningful when convex. The true
+	// merit counts whole AFU cycles; a small fraction of the raw delay
+	// slack is added as a tie-breaker so the search keeps a gradient
+	// inside plateaus where the integer merit does not move.
+	m := 0.0
+	if eff.Convex {
+		m = MeritOf(eff.SWSum, eff.HWCP) + 0.01*(float64(eff.SWSum)-eff.HWCP)
+	}
+
+	// α2: I/O port violation of the new cut.
+	vio := 0.0
+	if over := eff.NumIn - t.cfg.MaxIn; over > 0 {
+		vio += float64(over)
+	}
+	if over := eff.NumOut - t.cfg.MaxOut; over > 0 {
+		vio += float64(over)
+	}
+
+	// α3: neighbours already in the cut — an O(1) read off the state's
+	// incrementally maintained neighbour counts.
+	cv := float64(st.nbrH[v])
+	if !adding {
+		cv = -cv
+	}
+
+	// α4: directional growth — favour nodes close to a barrier so the
+	// cut grows from the barrier frontier outward (this is what makes
+	// the identified cuts line up with the repeated structures an expert
+	// would pick; see DESIGN.md §4). The per-node term is fixed for the
+	// block (TestGrowthTermsMatchBarrierDistances).
+	l := st.growth[v]
+	if !adding {
+		l = -l * 0.5 // removing a frontier node is mildly resisted
+	}
+
+	// α5: independent subgraphs — a cut node may move back to software
+	// when other components are large, freeing ports for them.
+	ind := 0.0
+	if !adding {
+		if ci := t.gc.compOf[v]; ci >= 0 {
+			ind = (t.gc.totalCP - t.gc.compCP[ci]) / (1 + t.gc.totalCP)
+		}
+	}
+
+	return w.Merit*m - w.IOPenalty*vio + w.Convexity*cv + w.LargeCut*l + w.Independent*ind
+}
+
 // refTrajectory is Engine.TrajectoryContext re-derived from scratch at
 // every step. It follows klLoop's pass and snapshot rules exactly, but drives a
 // private State only through SetCut (always the full relabel sweep),
@@ -172,7 +279,7 @@ func refTrajectory(e *Engine, start *graph.BitSet) []Candidate {
 }
 
 // TestReferenceProbeMatchesMetricsOf anchors probeRef to the MetricsOf
-// oracle, closing the chain Probe ≡ probeRef ≡ oracle: over random toggle
+// oracle, closing the chain kernel ≡ probeRef ≡ oracle: over random toggle
 // sequences, probeRef(st, v) must predict H△{v} exactly on ports,
 // software latency and convexity, exactly (up to float association) on
 // the critical path of an addition, and as an upper bound on the critical

@@ -23,7 +23,8 @@ import (
 //
 //   - exact cut input/output counts (the paper's Itoggle/Otoggle addendums
 //     generalized to exact per-value consumer counts),
-//   - the convexity violator set via |anc(x)∩H| / |desc(x)∩H| counters,
+//   - the convexity violator set via |anc(x)∩H| / |desc(x)∩H| counters
+//     and their cone unions (below/above),
 //   - the hardware critical path via longest-path-in/longest-path-out
 //     labels that make "what if we add v" an O(deg(v)) query.
 //
@@ -46,9 +47,15 @@ type State struct {
 	numIn     int   // |IN(H)|
 	numOut    int   // |OUT(H)|
 
-	// Convexity bookkeeping.
+	// Convexity bookkeeping. below and above are the cone unions of the
+	// cut — the nodes with an H-ancestor ({aCnt>0}) and those with an
+	// H-descendant ({dCnt>0}) — flipped at the counters' 0↔1 crossings, so
+	// the violator set is the word-wise below ∩ above \ H and a cone's
+	// convexity witnesses are one masked popcount (see computeDigest).
 	aCnt  []int // per node: |anc(x) ∩ H|
 	dCnt  []int // per node: |desc(x) ∩ H|
+	below *graph.BitSet
+	above *graph.BitSet
 	viol  *graph.BitSet
 	nviol int
 
@@ -77,21 +84,22 @@ type State struct {
 	// silently serving stale components.
 	version uint64
 
-	// Barrier distances for the directional-growth gain component.
-	upDist   []int
-	downDist []int
-	maxDist  int
+	// growth is the per-node directional-growth (α4) gain term of an
+	// addition, (maxDist − min(up, down)) / maxDist over the barrier
+	// distances: fixed for the block, so the step kernel reads it instead
+	// of dividing per candidate.
+	growth []float64
 
-	// Probe digest cache: the candidate-local half of every Probe(v),
-	// recombined with the global scalars in O(1) (see Probe). Allocated
-	// lazily on the first Probe so States that never probe (the cost
-	// oracle, the baselines' SetCut users) pay nothing; digestValid marks
-	// the entries the locality invalidation has not dirtied since they
-	// were computed. digestVer is the mutation version the valid bits
-	// reflect: every maintenance hook syncs it, and Probe wholesale-resets
-	// the valid bits if it ever trails s.version, so a mutation path that
-	// bypassed the hooks can go stale-silent only by also forgetting to
-	// bump version — which would already break the gain context's guard.
+	// Probe digest cache: the candidate-local half of every candidate's
+	// gain, recombined with the global scalars in O(1) by the K-L step
+	// kernel (trajectory.selectBestGain). Allocated lazily by
+	// prepareDigests; digestValid marks the entries the locality
+	// invalidation has not dirtied since they were computed. digestVer is
+	// the mutation version the valid bits reflect: every maintenance hook
+	// syncs it, and prepareDigests wholesale-resets the valid bits if it
+	// ever trails s.version, so a mutation path that bypassed the hooks can
+	// go stale-silent only by also forgetting to bump version — which would
+	// already break the gain context's guard.
 	digest      []probeDigest
 	digestValid *graph.BitSet
 	digestVer   uint64
@@ -102,7 +110,6 @@ type State struct {
 	// zeroes them) at trajectory boundaries so pooled workspaces never
 	// leak counts across jobs.
 	nToggles      int64
-	nProbes       int64
 	cpFullSweeps  int64
 	gainHits      int64
 	gainMisses    int64
@@ -119,11 +126,13 @@ func NewState(blk *ir.Block, model *latency.Model, excluded *graph.BitSet) *Stat
 		Model:     model,
 		n:         n,
 		H:         graph.NewBitSet(n),
-		Frozen:    graph.NewBitSet(n),
+		Frozen:    frozenNodes(blk, model, excluded),
 		inCnt:     make([]int, blk.NumValues()),
 		totalUses: make([]int, blk.NumValues()),
 		aCnt:      make([]int, n),
 		dCnt:      make([]int, n),
+		below:     graph.NewBitSet(n),
+		above:     graph.NewBitSet(n),
 		viol:      graph.NewBitSet(n),
 		swLat:     make([]int, n),
 		hwLat:     make([]float64, n),
@@ -134,38 +143,51 @@ func NewState(blk *ir.Block, model *latency.Model, excluded *graph.BitSet) *Stat
 		cpDirtyDown: graph.NewBitSet(n),
 		cpDirtyUp:   graph.NewBitSet(n),
 	}
-	if excluded != nil {
-		s.Frozen.Or(excluded)
-	}
 	for i := 0; i < n; i++ {
 		op := blk.Nodes[i].Op
 		s.swLat[i] = model.SWLat(op)
-		if d, ok := model.HWLat(op); ok {
-			s.hwLat[i] = d
-		} else {
-			s.Frozen.Set(i)
-		}
-		if blk.ForbiddenInCut(i) {
-			s.Frozen.Set(i)
-		}
+		s.hwLat[i], _ = model.HWLat(op) // 0 for the frozen non-implementable ops
 	}
 	for v := 0; v < blk.NumValues(); v++ {
 		s.totalUses[v] = len(blk.Uses(v))
 	}
-	isBarrier := func(v int) bool { return blk.ForbiddenInCut(v) }
-	s.upDist, s.downDist = blk.DAG().BarrierDistances(isBarrier)
-	for i := 0; i < n; i++ {
-		if s.upDist[i] > s.maxDist {
-			s.maxDist = s.upDist[i]
-		}
-		if s.downDist[i] > s.maxDist {
-			s.maxDist = s.downDist[i]
-		}
-	}
-	if s.maxDist == 0 {
-		s.maxDist = 1
-	}
+	s.growth = growthTerms(blk)
 	return s
+}
+
+// frozenNodes returns the nodes that can never toggle: the excluded ones
+// (may be nil), memory operations and operations with no AFU
+// implementation.
+func frozenNodes(blk *ir.Block, model *latency.Model, excluded *graph.BitSet) *graph.BitSet {
+	f := graph.NewBitSet(blk.N())
+	if excluded != nil {
+		f.Or(excluded)
+	}
+	for i := 0; i < blk.N(); i++ {
+		if _, ok := model.HWLat(blk.Nodes[i].Op); !ok || blk.ForbiddenInCut(i) {
+			f.Set(i)
+		}
+	}
+	return f
+}
+
+// growthTerms returns each node's directional-growth term: nodes close to
+// a barrier score near 1, so the cut grows from the barrier frontier
+// outward.
+func growthTerms(blk *ir.Block) []float64 {
+	up, down := blk.DAG().BarrierDistances(blk.ForbiddenInCut)
+	maxDist := 0
+	for i := range up {
+		maxDist = max(maxDist, up[i], down[i])
+	}
+	if maxDist == 0 {
+		maxDist = 1
+	}
+	g := make([]float64, len(up))
+	for i := range g {
+		g[i] = (float64(maxDist) - float64(min(up[i], down[i]))) / float64(maxDist)
+	}
+	return g
 }
 
 // N returns the node count of the underlying block.
@@ -278,9 +300,9 @@ func (s *State) rebuildHWCP() {
 
 // stateObs is one drain of the per-State observability tallies.
 type stateObs struct {
-	toggles, probes, cpFull int64
-	gainHits, gainMisses    int64
-	cpCriticalInc           int64
+	toggles, cpFull      int64
+	gainHits, gainMisses int64 // gainMisses doubles as kl_probes: digest rebuilds
+	cpCriticalInc        int64
 }
 
 // drainObs returns and clears the observability tallies. Called at
@@ -288,11 +310,11 @@ type stateObs struct {
 // even though the State itself is pooled.
 func (s *State) drainObs() stateObs {
 	o := stateObs{
-		toggles: s.nToggles, probes: s.nProbes, cpFull: s.cpFullSweeps,
+		toggles: s.nToggles, cpFull: s.cpFullSweeps,
 		gainHits: s.gainHits, gainMisses: s.gainMisses,
 		cpCriticalInc: s.cpCriticalInc,
 	}
-	s.nToggles, s.nProbes, s.cpFullSweeps = 0, 0, 0
+	s.nToggles, s.cpFullSweeps = 0, 0
 	s.gainHits, s.gainMisses, s.cpCriticalInc = 0, 0, 0
 	return o
 }
@@ -361,20 +383,11 @@ func (s *State) addNode(v int) {
 		}
 	}
 
-	// Convexity counters.
-	if s.viol.Has(v) {
-		s.viol.Clear(v)
-		s.nviol--
-	}
+	// Convexity counters and their cone unions.
 	dag := blk.DAG()
-	for x := dag.Desc(v).NextSet(0); x >= 0; x = dag.Desc(v).NextSet(x + 1) {
-		s.aCnt[x]++
-		s.updateViol(x)
-	}
-	for x := dag.Anc(v).NextSet(0); x >= 0; x = dag.Anc(v).NextSet(x + 1) {
-		s.dCnt[x]++
-		s.updateViol(x)
-	}
+	bumpCone(dag.Desc(v), s.aCnt, s.below, 1)
+	bumpCone(dag.Anc(v), s.dCnt, s.above, 1)
+	s.syncViol()
 	for _, p := range dag.Preds(v) {
 		s.nbrH[p]++
 	}
@@ -415,15 +428,9 @@ func (s *State) removeNode(v int) {
 	}
 
 	dag := blk.DAG()
-	for x := dag.Desc(v).NextSet(0); x >= 0; x = dag.Desc(v).NextSet(x + 1) {
-		s.aCnt[x]--
-		s.updateViol(x)
-	}
-	for x := dag.Anc(v).NextSet(0); x >= 0; x = dag.Anc(v).NextSet(x + 1) {
-		s.dCnt[x]--
-		s.updateViol(x)
-	}
-	s.updateViol(v)
+	bumpCone(dag.Desc(v), s.aCnt, s.below, -1)
+	bumpCone(dag.Anc(v), s.dCnt, s.above, -1)
+	s.syncViol()
 	for _, p := range dag.Preds(v) {
 		s.nbrH[p]--
 	}
@@ -618,19 +625,37 @@ func (s *State) digestMutate(v int, added bool) {
 	s.digestVer = s.version
 }
 
-// updateViol refreshes the membership of x in the violator set.
-func (s *State) updateViol(x int) {
-	isViol := !s.H.Has(x) && s.aCnt[x] > 0 && s.dCnt[x] > 0
-	if isViol == s.viol.Has(x) {
-		return
+// bumpCone adds delta (±1) to cnt at every node of cone, one word at a
+// time, and flips the node's bit in union where the count crosses 0↔1, so
+// union stays exactly {x : cnt[x] > 0}.
+func bumpCone(cone *graph.BitSet, cnt []int, union *graph.BitSet, delta int) {
+	uw := union.Words()
+	for i, w := range cone.Words() {
+		var flip uint64
+		for ; w != 0; w &= w - 1 {
+			tz := bits.TrailingZeros64(w)
+			x := i*64 + tz
+			c := cnt[x] + delta
+			cnt[x] = c
+			if c == 0 || c == delta { // 1→0 on removal, 0→1 on addition
+				flip |= 1 << uint(tz)
+			}
+		}
+		uw[i] ^= flip
 	}
-	if isViol {
-		s.viol.Set(x)
-		s.nviol++
-	} else {
-		s.viol.Clear(x)
-		s.nviol--
+}
+
+// syncViol re-derives the violator set {x ∉ H : aCnt>0 ∧ dCnt>0} and its
+// size from the cone unions: below ∩ above \ H, one word at a time.
+func (s *State) syncViol() {
+	vw, bw, aw, hw := s.viol.Words(), s.below.Words(), s.above.Words(), s.H.Words()
+	nv := 0
+	for i := range vw {
+		w := bw[i] & aw[i] &^ hw[i]
+		vw[i] = w
+		nv += bits.OnesCount64(w)
 	}
+	s.nviol = nv
 }
 
 // recomputeCP rebuilds level, tail and hwCP for the current H in one
@@ -859,19 +884,8 @@ func (s *State) removeCPUpdate(v int) {
 	}
 }
 
-// ToggleEffect is the predicted outcome of toggling one node, computed
-// without mutating the state. Critical-path predictions for removals of
-// critical nodes are conservative upper bounds: the current hwCP is
-// returned, and the exact value is restored when the toggle commits.
-type ToggleEffect struct {
-	NumIn, NumOut int
-	Convex        bool
-	SWSum         int
-	HWCP          float64
-}
-
-// probeDigest is the candidate-local half of one Probe(v): everything
-// that depends only on v's neighbourhood, cached until a toggle's
+// probeDigest is the candidate-local half of one candidate's gain:
+// everything that depends only on v's neighbourhood, cached until a toggle's
 // locality invalidation dirties it (see digestMutate). The direction it
 // was computed for is implicit — a toggle of v itself always dirties the
 // entry, so a valid digest always matches the current !H.Has(v).
@@ -892,61 +906,24 @@ type probeDigest struct {
 	fixCnt int
 }
 
-// Probe predicts the effect of toggling v. Amortized cost is O(1): the
-// candidate-local digest (I/O port deltas, convexity scan witness,
-// through-path levelIn/tailOut) is served from a per-State cache and
-// recombined with the global scalars (numIn/numOut, swSum, nviol, hwCP)
-// by a handful of reads. A digest rebuild — the old O(deg(v)) replay plus
-// the ancestor/descendant convexity scan — triggers only when a committed
-// toggle's invalidation walk dirtied v's entry: v itself or a
-// neighbour/sibling toggled, v's ancestor-or-descendant cone saw an H
-// flip or an aCnt/dCnt boundary crossing, or a critical-path label next
-// to v moved. Recombination reproduces the uncached arithmetic
-// expression-for-expression, so the returned ToggleEffect is bit-for-bit
-// identical to a from-scratch probe (probeRef in the tests), including the
-// conservative critical-removal upper bound in HWCP.
-func (s *State) Probe(v int) ToggleEffect {
-	adding := !s.H.Has(v)
+// prepareDigests readies the probe-digest cache for a scan: the entries
+// are allocated on the first scan, so States that never score candidates
+// (the cost oracle, the baselines' SetCut users) pay nothing, and the
+// valid bits are wholesale-reset if a mutation bypassed the maintenance
+// hooks (impossible via the public API, but the version guard makes
+// staleness structurally unreachable rather than merely unlikely).
+func (s *State) prepareDigests() {
 	if s.digest == nil {
 		s.digest = make([]probeDigest, s.n)
 		s.digestValid = graph.NewBitSet(s.n)
 		s.digestVer = s.version
 	} else if s.digestVer != s.version {
-		// A mutation bypassed the maintenance hooks (impossible via the
-		// public API, but the version guard makes staleness structurally
-		// unreachable rather than merely unlikely).
 		s.digestValid.Reset()
 		s.digestVer = s.version
 	}
-	d := &s.digest[v]
-	if s.digestValid.Has(v) {
-		s.gainHits++
-	} else {
-		s.nProbes++
-		s.gainMisses++
-		s.computeDigest(v, adding, d)
-		s.digestValid.Set(v)
-	}
-	var eff ToggleEffect
-	eff.NumIn = s.numIn + d.dIn
-	eff.NumOut = s.numOut + d.dOut
-	if adding {
-		eff.SWSum = s.swSum + s.swLat[v]
-		base := s.nviol
-		if s.viol.Has(v) {
-			base--
-		}
-		eff.Convex = base <= 0 && d.pDescCnt == 0 && d.qAncCnt == 0
-		eff.HWCP = math.Max(s.hwCP, d.levelIn+s.hwLat[v]+d.tailOut)
-	} else {
-		eff.SWSum = s.swSum - s.swLat[v]
-		eff.Convex = !(s.aCnt[v] > 0 && s.dCnt[v] > 0) && d.fixCnt == s.nviol
-		eff.HWCP = s.hwCP
-	}
-	return eff
 }
 
-// computeDigest fills d with the candidate-local half of Probe(v) for the
+// computeDigest fills d with the candidate-local half of v's gain for the
 // current toggle direction: the exact I/O replay, the full convexity
 // witness counts and the through-path query.
 func (s *State) computeDigest(v int, adding bool, d *probeDigest) {
@@ -958,12 +935,11 @@ func (s *State) computeDigest(v int, adding bool, d *probeDigest) {
 		d.pDescCnt, d.qAncCnt = 0, 0
 		fix := 0
 		desc, anc := dag.Desc(v), dag.Anc(v)
-		s.viol.ForEach(func(x int) bool {
+		for x := s.viol.NextSet(0); x >= 0; x = s.viol.NextSet(x + 1) {
 			if (desc.Has(x) && s.aCnt[x] == 1) || (anc.Has(x) && s.dCnt[x] == 1) {
 				fix++
 			}
-			return true
-		})
+		}
 		d.fixCnt = fix
 		return
 	}
@@ -980,26 +956,23 @@ func (s *State) computeDigest(v int, adding bool, d *probeDigest) {
 		}
 	}
 	d.levelIn, d.tailOut = levelIn, tailOut
-	// The convexity scans record full witness counts, not booleans and
-	// not early-exits: digestMutate repairs the counts by ±1 on each
-	// predicate flip, which only composes if the cache holds the exact
-	// count of P/Q witnesses in the cone.
-	cnt := 0
-	dag.Desc(v).ForEach(func(x int) bool {
-		if !s.H.Has(x) && s.aCnt[x] == 0 && s.dCnt[x] > 0 {
-			cnt++
-		}
-		return true
-	})
-	d.pDescCnt = cnt
-	cnt = 0
-	dag.Anc(v).ForEach(func(x int) bool {
-		if !s.H.Has(x) && s.dCnt[x] == 0 && s.aCnt[x] > 0 {
-			cnt++
-		}
-		return true
-	})
-	d.qAncCnt = cnt
+	// Full witness counts, not booleans: digestMutate repairs the counts
+	// by ±1 on each predicate flip, which only composes if the cache holds
+	// the exact count of P/Q witnesses in the cone. P(x) is x ∈ above \
+	// (below ∪ H), Q(x) is x ∈ below \ (above ∪ H).
+	d.pDescCnt = s.witnessCount(dag.Desc(v), s.above, s.below)
+	d.qAncCnt = s.witnessCount(dag.Anc(v), s.below, s.above)
+}
+
+// witnessCount returns |cone ∩ in \ (ex ∪ H)|, one masked popcount per
+// word.
+func (s *State) witnessCount(cone, in, ex *graph.BitSet) int {
+	cw, iw, ew, hw := cone.Words(), in.Words(), ex.Words(), s.H.Words()
+	c := 0
+	for i, w := range cw {
+		c += bits.OnesCount64(w & iw[i] &^ (ew[i] | hw[i]))
+	}
+	return c
 }
 
 // ioAfter computes the exact post-toggle I/O counts by replaying the

@@ -80,10 +80,10 @@ type Counter int
 const (
 	// K-L heuristic (internal/core).
 	KLToggles         Counter = iota // node moves applied across trajectories
-	KLProbes                         // gain probes (cut evaluations without commitment)
+	KLProbes                         // candidate probe digests rebuilt (equals KLGainCacheMisses)
 	KLCPFullSweeps                   // SetCut critical-path relabel sweeps (Toggle updates incrementally)
 	KLGainRebuilds                   // incremental gain-context rebuilds (full relabels)
-	KLGainCacheHits                  // probes served from the cached digest table
+	KLGainCacheHits                  // candidate gains served from the cached digest table
 	KLGainCacheMisses                // probe digests recomputed after locality invalidation
 	KLCPCriticalInc                  // critical-node removals handled without a full sweep
 	KLPoolHits                       // trajectory workspaces reused from the pool

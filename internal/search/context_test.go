@@ -75,7 +75,10 @@ func TestRunBlocksContextCancelPromptNoLeak(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := r.RunBlocksContext(ctx, blks, &KL{}, obj, lim)
+	eng := &KL{}
+	err := r.ForEachContext(ctx, len(blks), func(i int) {
+		_, _, _ = eng.RunContext(ctx, blks[i], obj, lim)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -137,16 +137,25 @@ func TestRunBlocksDeterministicOrder(t *testing.T) {
 	obj := search.Merit(model)
 	eng := &search.KL{Cache: search.NewCostCache()}
 
-	seqR := &search.Runner{Workers: 1}
-	parR := &search.Runner{Workers: 8}
-	seqCuts, _, err := seqR.RunBlocksContext(context.Background(), blocks, eng, obj, lim)
-	if err != nil {
-		t.Fatal(err)
+	// runBlocks fans the engine out over the blocks, each result written
+	// to its input slot, and fails on the first per-block error.
+	runBlocks := func(r *search.Runner) [][]*core.Cut {
+		cuts := make([][]*core.Cut, len(blocks))
+		errs := make([]error, len(blocks))
+		if err := r.ForEachContext(context.Background(), len(blocks), func(i int) {
+			cuts[i], _, errs[i] = eng.RunContext(context.Background(), blocks[i], obj, lim)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("block %d: %v", i, err)
+			}
+		}
+		return cuts
 	}
-	parCuts, _, err := parR.RunBlocksContext(context.Background(), blocks, eng, obj, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqCuts := runBlocks(&search.Runner{Workers: 1})
+	parCuts := runBlocks(&search.Runner{Workers: 8})
 	for i := range blocks {
 		if len(seqCuts[i]) != len(parCuts[i]) {
 			t.Fatalf("block %d: cut count %d vs %d", i, len(seqCuts[i]), len(parCuts[i]))

@@ -30,8 +30,7 @@ type Runner struct {
 	Workers int
 	// Cache is the shared cut-costing cache. Nil is fine:
 	// GenerateContext then memoizes within a single call (its driver
-	// rounds still overlap), while RunBlocksContext passes nil through to
-	// the engines.
+	// rounds still overlap).
 	Cache *CostCache
 }
 
@@ -262,32 +261,6 @@ func (r *Runner) GenerateContext(ctx context.Context, app *ir.Application, cfg c
 	}
 	stats.Cuts = len(cuts)
 	stats.Duration = time.Since(start)
-	return cuts, stats, nil
-}
-
-// RunBlocksContext fans the engine out over independent basic blocks on
-// the worker pool and merges results in input order. Per-block failures do
-// not stop the fan-out; the first error (by block order) is returned
-// alongside the full result and stats slices, whose entries are valid
-// wherever the corresponding error slot was nil. Cancellation short-
-// circuits unstarted blocks, aborts in-flight engine runs mid-block
-// (Engine.RunContext), and returns ctx.Err() (which takes precedence
-// over per-block errors, since unstarted slots are indistinguishable from
-// failed ones at that point).
-func (r *Runner) RunBlocksContext(ctx context.Context, blocks []*ir.Block, eng Engine, obj *Objective, lim *Limits) ([][]*core.Cut, []Stats, error) {
-	cuts := make([][]*core.Cut, len(blocks))
-	stats := make([]Stats, len(blocks))
-	errs := make([]error, len(blocks))
-	if err := parallelFor(ctx, workers(r.Workers), len(blocks), func(i int) {
-		cuts[i], stats[i], errs[i] = eng.RunContext(ctx, blocks[i], obj, lim)
-	}); err != nil {
-		return cuts, stats, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return cuts, stats, err
-		}
-	}
 	return cuts, stats, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	isegen "repro"
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/latency"
@@ -49,5 +50,37 @@ func TestFigure4ProbeToggleRatio(t *testing.T) {
 	t.Logf("figure4: %d probes / %d toggles = %.2f per toggle (limit %.1f)", probes, toggles, ratio, maxProbesPerToggle)
 	if ratio > maxProbesPerToggle {
 		t.Fatalf("kl_probes/kl_toggles = %.2f exceeds the pinned %.1f: the gain cache is over-invalidating", ratio, maxProbesPerToggle)
+	}
+}
+
+// TestAESKLWorkCounters pins the K-L step kernel's work on the paper's
+// headline workload exactly: a default-params AES GenerateContext must
+// commit the same toggles, rebuild the same digests and serve the same
+// cache hits at every worker count. kl_gaincache_hits + kl_probes is the
+// number of candidate gains scored, so a kernel that skips or
+// double-scores candidates fails here even when its argmax agrees.
+func TestAESKLWorkCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full AES runs")
+	}
+	want := map[string]int64{
+		"kl_toggles":        16920,
+		"kl_probes":         141722,
+		"kl_gaincache_hits": 3463138,
+	}
+	for _, workers := range []int{1, 0} {
+		rec := obs.NewRecorder(0)
+		ctx := obs.WithRecorder(context.Background(), rec)
+		cfg := isegen.DefaultConfig()
+		cfg.Workers = workers
+		if _, err := isegen.GenerateContext(ctx, kernels.AES(), cfg, nil); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := rec.Counters().Map()
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("workers=%d: %s = %d, want %d", workers, name, got[name], w)
+			}
+		}
 	}
 }
