@@ -249,8 +249,8 @@ func TestCandidatesIncludeComponents(t *testing.T) {
 	}
 	// All candidates must be feasible and positive-merit.
 	for _, cand := range cands {
-		_, _, in, out, convex := CutMetrics(blk, cfg.Model, cand.Nodes)
-		if !convex || in > cfg.MaxIn || out > cfg.MaxOut {
+		m := MetricsOf(blk, cfg.Model, cand.Nodes)
+		if !m.Convex() || m.NumIn > cfg.MaxIn || m.NumOut > cfg.MaxOut {
 			t.Errorf("infeasible candidate %v", cand.Nodes)
 		}
 		if cand.Merit() <= 0 {

@@ -29,18 +29,18 @@ func assertFeasible(t *testing.T, blk *ir.Block, cut *Cut, cfg Config) {
 	if cut == nil {
 		t.Fatal("expected a cut")
 	}
-	sw, cp, in, out, convex := CutMetrics(blk, cfg.Model, cut.Nodes)
-	if !convex {
+	m := MetricsOf(blk, cfg.Model, cut.Nodes)
+	if !m.Convex() {
 		t.Errorf("cut %v is not convex", cut.Nodes)
 	}
-	if in > cfg.MaxIn || out > cfg.MaxOut {
-		t.Errorf("cut io (%d,%d) exceeds (%d,%d)", in, out, cfg.MaxIn, cfg.MaxOut)
+	if m.NumIn > cfg.MaxIn || m.NumOut > cfg.MaxOut {
+		t.Errorf("cut io (%d,%d) exceeds (%d,%d)", m.NumIn, m.NumOut, cfg.MaxIn, cfg.MaxOut)
 	}
-	if in != cut.NumIn || out != cut.NumOut {
-		t.Errorf("reported io (%d,%d) != reference (%d,%d)", cut.NumIn, cut.NumOut, in, out)
+	if m.NumIn != cut.NumIn || m.NumOut != cut.NumOut {
+		t.Errorf("reported io (%d,%d) != reference (%d,%d)", cut.NumIn, cut.NumOut, m.NumIn, m.NumOut)
 	}
-	if sw != cut.SWLat || math.Abs(cp-cut.HWLat) > 1e-9 {
-		t.Errorf("reported latency (%d,%v) != reference (%d,%v)", cut.SWLat, cut.HWLat, sw, cp)
+	if m.SWLat != cut.SWLat || math.Abs(m.HWLat-cut.HWLat) > 1e-9 {
+		t.Errorf("reported latency (%d,%v) != reference (%d,%v)", cut.SWLat, cut.HWLat, m.SWLat, m.HWLat)
 	}
 	cut.Nodes.ForEach(func(v int) bool {
 		if blk.ForbiddenInCut(v) {
@@ -175,12 +175,12 @@ func bestMeritExhaustive(blk *ir.Block, cfg Config) (float64, *graph.BitSet) {
 		if skip {
 			continue
 		}
-		sw, cp, in, out, convex := CutMetrics(blk, cfg.Model, cut)
-		if !convex || in > cfg.MaxIn || out > cfg.MaxOut {
+		m := MetricsOf(blk, cfg.Model, cut)
+		if !m.Convex() || m.NumIn > cfg.MaxIn || m.NumOut > cfg.MaxOut {
 			continue
 		}
-		if m := MeritOf(sw, cp); m > best {
-			best = m
+		if merit := m.Merit(); merit > best {
+			best = merit
 			bestCut = cut
 		}
 	}

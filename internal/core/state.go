@@ -1053,27 +1053,21 @@ func (m Metrics) Merit() float64 { return MeritOf(m.SWLat, m.HWLat) }
 type MetricsFunc func(blk *ir.Block, model *latency.Model, cut *graph.BitSet) Metrics
 
 // MetricsOf evaluates an arbitrary cut of the block without any incremental
-// state: one longest-path sweep plus the I/O and convexity counts.
+// state: one longest-path sweep plus the I/O counts and the cone-union
+// convexity count. It is the one costing function every engine shares.
 func MetricsOf(blk *ir.Block, model *latency.Model, cut *graph.BitSet) Metrics {
 	var m Metrics
-	for _, v := range cut.Elems() {
+	cut.ForEach(func(v int) bool {
 		m.SWLat += model.SWLat(blk.Nodes[v].Op)
-	}
-	_, m.HWLat = blk.DAG().LongestPath(cut, func(v int) float64 {
+		return true
+	})
+	dag := blk.DAG()
+	_, m.HWLat = dag.LongestPath(cut, func(v int) float64 {
 		d, _ := model.HWLat(blk.Nodes[v].Op)
 		return d
 	})
 	m.NumIn = blk.CutInputs(cut)
 	m.NumOut = blk.CutOutputs(cut)
-	m.NViol = len(blk.DAG().ConvexViolators(cut))
+	m.NViol = dag.ViolatorCount(cut)
 	return m
-}
-
-// CutMetrics evaluates an arbitrary cut of the block with the same latency
-// model, without touching the incremental state: returns software latency
-// sum, hardware critical path, input and output counts, and convexity.
-// It is the tuple form of MetricsOf.
-func CutMetrics(blk *ir.Block, model *latency.Model, cut *graph.BitSet) (swSum int, hwCP float64, in, out int, convex bool) {
-	m := MetricsOf(blk, model, cut)
-	return m.SWLat, m.HWLat, m.NumIn, m.NumOut, m.Convex()
 }

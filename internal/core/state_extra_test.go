@@ -125,9 +125,9 @@ func TestBlockPotentialOrdering(t *testing.T) {
 	}
 }
 
-// TestEngineMeritMatchesCutMetrics: the Cut returned by Bipartition agrees
+// TestEngineMeritMatchesMetricsOf: the Cut returned by Bipartition agrees
 // with the standalone metric computation.
-func TestEngineMeritMatchesCutMetrics(t *testing.T) {
+func TestEngineMeritMatchesMetricsOf(t *testing.T) {
 	bu := ir.NewBuilder("agree", 1)
 	a, b, c := bu.Input("a"), bu.Input("b"), bu.Input("c")
 	v := bu.Add(bu.Mul(a, b), bu.Shl(c, b))
@@ -141,9 +141,9 @@ func TestEngineMeritMatchesCutMetrics(t *testing.T) {
 	if cut == nil {
 		t.Fatal("no cut")
 	}
-	sw, cp, in, out, convex := CutMetrics(blk, latency.Default(), cut.Nodes)
-	if !convex || sw != cut.SWLat || math.Abs(cp-cut.HWLat) > 1e-9 ||
-		in != cut.NumIn || out != cut.NumOut {
-		t.Errorf("cut fields disagree with CutMetrics: %+v vs (%d %v %d %d)", cut, sw, cp, in, out)
+	m := MetricsOf(blk, latency.Default(), cut.Nodes)
+	if !m.Convex() || m.SWLat != cut.SWLat || math.Abs(m.HWLat-cut.HWLat) > 1e-9 ||
+		m.NumIn != cut.NumIn || m.NumOut != cut.NumOut {
+		t.Errorf("cut fields disagree with MetricsOf: %+v vs %+v", cut, m)
 	}
 }

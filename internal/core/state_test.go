@@ -85,12 +85,12 @@ func verifyAgainstReference(t *testing.T, st *State) {
 	if got, want := st.Convex(), blk.DAG().IsConvex(st.H); got != want {
 		t.Fatalf("Convex = %v, reference = %v (cut %v)", got, want, st.H)
 	}
-	sw, cp, _, _, _ := CutMetrics(blk, st.Model, st.H)
-	if st.SWSum() != sw {
-		t.Fatalf("SWSum = %d, reference = %d", st.SWSum(), sw)
+	m := MetricsOf(blk, st.Model, st.H)
+	if st.SWSum() != m.SWLat {
+		t.Fatalf("SWSum = %d, reference = %d", st.SWSum(), m.SWLat)
 	}
-	if math.Abs(st.HWCP()-cp) > 1e-9 {
-		t.Fatalf("HWCP = %v, reference = %v (cut %v)", st.HWCP(), cp, st.H)
+	if math.Abs(st.HWCP()-m.HWLat) > 1e-9 {
+		t.Fatalf("HWCP = %v, reference = %v (cut %v)", st.HWCP(), m.HWLat, st.H)
 	}
 }
 
@@ -326,26 +326,27 @@ func TestChainCriticalPath(t *testing.T) {
 	}
 }
 
-func TestCutMetricsStandalone(t *testing.T) {
+func TestMetricsOfStandalone(t *testing.T) {
 	blk := buildDiamondBlock(t)
 	cut := graph.NewBitSet(4)
 	cut.Set(0)
 	cut.Set(3)
-	sw, cp, in, out, convex := CutMetrics(blk, latency.Default(), cut)
-	if sw != 2 {
-		t.Errorf("sw = %d, want 2", sw)
+	got := MetricsOf(blk, latency.Default(), cut)
+	if got.SWLat != 2 {
+		t.Errorf("sw = %d, want 2", got.SWLat)
 	}
-	if convex {
-		t.Error("cut {0,3} must be non-convex")
+	// Both middle nodes lie on a path that leaves and re-enters the cut.
+	if got.NViol != 2 {
+		t.Errorf("NViol = %d, want 2", got.NViol)
 	}
-	if in != 4 || out != 2 {
-		t.Errorf("io = (%d,%d), want (4,2)", in, out)
+	if got.NumIn != 4 || got.NumOut != 2 {
+		t.Errorf("io = (%d,%d), want (4,2)", got.NumIn, got.NumOut)
 	}
 	m := latency.Default()
 	addHW, _ := m.HWLat(ir.OpAdd)
 	// The two adds are disconnected within the cut, so the critical path
 	// is a single add, not their sum.
-	if math.Abs(cp-addHW) > 1e-9 {
-		t.Errorf("cp = %v, want %v", cp, addHW)
+	if math.Abs(got.HWLat-addHW) > 1e-9 {
+		t.Errorf("cp = %v, want %v", got.HWLat, addHW)
 	}
 }

@@ -27,8 +27,7 @@ func SelectionSavings(app *ir.Application, model *latency.Model, sel Selection) 
 	total := 0.0
 	for _, inst := range sel.Instances {
 		blk := app.Blocks[inst.BlockIdx]
-		sw, cp, _, _, _ := core.CutMetrics(blk, model, inst.Nodes)
-		total += blk.Freq * core.MeritOf(sw, cp)
+		total += blk.Freq * core.MetricsOf(blk, model, inst.Nodes).Merit()
 	}
 	return total
 }

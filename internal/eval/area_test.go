@@ -33,9 +33,9 @@ func buildAreaApp(t *testing.T) (*ir.Application, []Selection) {
 		for _, id := range ids {
 			cut.Set(id)
 		}
-		sw, cp, in, out, _ := core.CutMetrics(blk, model, cut)
+		m := core.MetricsOf(blk, model, cut)
 		return Selection{
-			Cut:       &core.Cut{Block: blk, Nodes: cut, NumIn: in, NumOut: out, SWLat: sw, HWLat: cp},
+			Cut:       &core.Cut{Block: blk, Nodes: cut, NumIn: m.NumIn, NumOut: m.NumOut, SWLat: m.SWLat, HWLat: m.HWLat},
 			Instances: []reuse.Instance{{BlockIdx: 0, Nodes: cut}},
 		}
 	}

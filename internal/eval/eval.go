@@ -88,13 +88,12 @@ func Evaluate(app *ir.Application, model *latency.Model, sels []Selection) (*Rep
 			}
 			claimed[inst.BlockIdx].Or(inst.Nodes)
 
-			sw, cp, _, _, convex := core.CutMetrics(blk, model, inst.Nodes)
-			if !convex {
+			m := core.MetricsOf(blk, model, inst.Nodes)
+			if !m.Convex() {
 				return nil, fmt.Errorf("eval: selection %d: non-convex instance in block %q", si, blk.Name)
 			}
-			merit := core.MeritOf(sw, cp)
-			saved += blk.Freq * merit
-			coveredCycles += blk.Freq * float64(sw)
+			saved += blk.Freq * m.Merit()
+			coveredCycles += blk.Freq * float64(m.SWLat)
 
 			rep.StaticAfter -= inst.Nodes.Count() - 1
 			// Energy: covered ops run on the AFU.

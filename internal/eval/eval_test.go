@@ -30,8 +30,8 @@ func buildApp(t *testing.T) (*ir.Application, *core.Cut) {
 	cut := graph.NewBitSet(2)
 	cut.Set(0)
 	cut.Set(1)
-	sw, cp, in, out, _ := core.CutMetrics(hot, latency.Default(), cut)
-	return app, &core.Cut{Block: hot, Nodes: cut, NumIn: in, NumOut: out, SWLat: sw, HWLat: cp}
+	cm := core.MetricsOf(hot, latency.Default(), cut)
+	return app, &core.Cut{Block: hot, Nodes: cut, NumIn: cm.NumIn, NumOut: cm.NumOut, SWLat: cm.SWLat, HWLat: cm.HWLat}
 }
 
 func TestEvaluateSpeedup(t *testing.T) {

@@ -65,12 +65,12 @@ func bruteForceBest(blk *ir.Block, opt Options) float64 {
 		if skip {
 			continue
 		}
-		sw, cp, in, out, convex := core.CutMetrics(blk, opt.Model, cut)
-		if !convex || in > opt.MaxIn || out > opt.MaxOut {
+		m := core.MetricsOf(blk, opt.Model, cut)
+		if !m.Convex() || m.NumIn > opt.MaxIn || m.NumOut > opt.MaxOut {
 			continue
 		}
-		if m := core.MeritOf(sw, cp); m > best {
-			best = m
+		if merit := m.Merit(); merit > best {
+			best = merit
 		}
 	}
 	return best
@@ -90,8 +90,8 @@ func TestSingleCutMatchesBruteForce(t *testing.T) {
 		if cut != nil {
 			got = cut.Merit()
 			// Returned cut must itself be feasible.
-			_, _, in, out, convex := core.CutMetrics(blk, opt.Model, cut.Nodes)
-			if !convex || in > opt.MaxIn || out > opt.MaxOut {
+			m := core.MetricsOf(blk, opt.Model, cut.Nodes)
+			if !m.Convex() || m.NumIn > opt.MaxIn || m.NumOut > opt.MaxOut {
 				t.Fatalf("trial %d: infeasible cut returned", trial)
 			}
 		}
@@ -218,11 +218,11 @@ func bruteForceMulti(blk *ir.Block, opt Options, k int) float64 {
 				if cut.Empty() {
 					continue
 				}
-				sw, cp, in, out, convex := core.CutMetrics(blk, opt.Model, cut)
-				if !convex || in > opt.MaxIn || out > opt.MaxOut {
+				m := core.MetricsOf(blk, opt.Model, cut)
+				if !m.Convex() || m.NumIn > opt.MaxIn || m.NumOut > opt.MaxOut {
 					return
 				}
-				total += core.MeritOf(sw, cp)
+				total += m.Merit()
 			}
 			if total > best {
 				best = total
@@ -261,8 +261,8 @@ func TestMultiCutMatchesBruteForce(t *testing.T) {
 				t.Fatal("multi cuts overlap")
 			}
 			seen.Or(c.Nodes)
-			_, _, in, out, convex := core.CutMetrics(blk, opt.Model, c.Nodes)
-			if !convex || in > opt.MaxIn || out > opt.MaxOut {
+			m := core.MetricsOf(blk, opt.Model, c.Nodes)
+			if !m.Convex() || m.NumIn > opt.MaxIn || m.NumOut > opt.MaxOut {
 				t.Fatalf("trial %d: infeasible cut", trial)
 			}
 		}

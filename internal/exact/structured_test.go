@@ -109,7 +109,7 @@ func TestSingleCutLiveOutPorts(t *testing.T) {
 	if cut == nil || cut.Size() != 1 || !cut.Nodes.Has(2) {
 		t.Fatalf("cut = %v, want the lone mul", cut)
 	}
-	if _, _, _, out, _ := core.CutMetrics(blk, latency.Default(), cut.Nodes); out != 1 {
+	if out := core.MetricsOf(blk, latency.Default(), cut.Nodes).NumOut; out != 1 {
 		t.Errorf("outputs = %d, want 1", out)
 	}
 }

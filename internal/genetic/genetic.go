@@ -95,6 +95,9 @@ func (o *Options) fill() {
 	if o.ConvexPenalty == 0 {
 		o.ConvexPenalty = 4
 	}
+	if o.Metrics == nil {
+		o.Metrics = core.MetricsOf
+	}
 }
 
 func (o *Options) validate(blk *ir.Block) error {
@@ -121,11 +124,6 @@ type evaluator struct {
 	frozen *graph.BitSet
 	geneID []int // gene position -> node ID
 	cutBuf *graph.BitSet
-	// swLat/hwLat back the nil-Metrics fast path: fitness evaluation is
-	// the hot loop, and precomputed arrays beat per-node model lookups.
-	swLat   []int
-	hwLat   []float64
-	metrics core.MetricsFunc
 	// evals counts fitness evaluations for the observability flush.
 	evals int64
 }
@@ -133,26 +131,16 @@ type evaluator struct {
 func newEvaluator(blk *ir.Block, opt *Options, excluded *graph.BitSet) *evaluator {
 	n := blk.N()
 	e := &evaluator{
-		blk:     blk,
-		opt:     opt,
-		frozen:  graph.NewBitSet(n),
-		cutBuf:  graph.NewBitSet(n),
-		swLat:   make([]int, n),
-		hwLat:   make([]float64, n),
-		metrics: opt.Metrics,
+		blk:    blk,
+		opt:    opt,
+		frozen: graph.NewBitSet(n),
+		cutBuf: graph.NewBitSet(n),
 	}
 	if excluded != nil {
 		e.frozen.Or(excluded)
 	}
 	for v := 0; v < n; v++ {
-		op := blk.Nodes[v].Op
-		e.swLat[v] = opt.Model.SWLat(op)
-		if d, ok := opt.Model.HWLat(op); ok {
-			e.hwLat[v] = d
-		} else {
-			e.frozen.Set(v)
-		}
-		if blk.ForbiddenInCut(v) {
+		if !opt.Model.HWImplementable(blk.Nodes[v].Op) || blk.ForbiddenInCut(v) {
 			e.frozen.Set(v)
 		}
 	}
@@ -166,8 +154,7 @@ func newEvaluator(blk *ir.Block, opt *Options, excluded *graph.BitSet) *evaluato
 
 // eval computes penalty-shaped fitness for one chromosome. With an
 // installed MetricsFunc (the search layer's memoized cache) each distinct
-// chromosome is costed once; without one, the precomputed latency arrays
-// keep the per-evaluation cost to one longest-path sweep.
+// chromosome is costed once.
 func (e *evaluator) eval(ind *individual) {
 	e.evals++
 	cut := e.cutBuf
@@ -183,7 +170,7 @@ func (e *evaluator) eval(ind *individual) {
 		ind.feasibleMerit = 0
 		return
 	}
-	m := e.costCut(cut)
+	m := e.opt.Metrics(e.blk, e.opt.Model, cut)
 	merit := m.Merit()
 
 	pen := 0.0
@@ -198,26 +185,6 @@ func (e *evaluator) eval(ind *individual) {
 	ind.fitness = merit - pen
 	ind.feasible = pen == 0
 	ind.feasibleMerit = merit
-}
-
-// costCut costs one chromosome's cut: through the installed MetricsFunc
-// when present, else directly via the precomputed latency arrays
-// (equivalent to core.MetricsOf — the cut never contains frozen nodes).
-func (e *evaluator) costCut(cut *graph.BitSet) core.Metrics {
-	if e.metrics != nil {
-		return e.metrics(e.blk, e.opt.Model, cut)
-	}
-	var m core.Metrics
-	cut.ForEach(func(v int) bool {
-		m.SWLat += e.swLat[v]
-		return true
-	})
-	dag := e.blk.DAG()
-	_, m.HWLat = dag.LongestPath(cut, func(v int) float64 { return e.hwLat[v] })
-	m.NumIn = e.blk.CutInputs(cut)
-	m.NumOut = e.blk.CutOutputs(cut)
-	m.NViol = len(dag.ConvexViolators(cut))
-	return m
 }
 
 // growCluster marks a connected region of up to target unfrozen nodes,
@@ -363,7 +330,7 @@ func SingleCut(blk *ir.Block, opt Options, excluded *graph.BitSet) (*core.Cut, e
 	if bestFeasible.Empty() || bestMerit <= 0 {
 		return nil, nil
 	}
-	m := e.costCut(bestFeasible)
+	m := opt.Metrics(blk, opt.Model, bestFeasible)
 	return &core.Cut{
 		Block: blk, Nodes: bestFeasible,
 		NumIn: m.NumIn, NumOut: m.NumOut, SWLat: m.SWLat, HWLat: m.HWLat,

@@ -45,12 +45,12 @@ func randKernelBlock(rng *rand.Rand, n int) *ir.Block {
 
 func assertFeasibleCut(t *testing.T, blk *ir.Block, cut *core.Cut, opt Options) {
 	t.Helper()
-	_, _, in, out, convex := core.CutMetrics(blk, opt.Model, cut.Nodes)
-	if !convex {
+	m := core.MetricsOf(blk, opt.Model, cut.Nodes)
+	if !m.Convex() {
 		t.Fatalf("GA returned non-convex cut %v", cut.Nodes)
 	}
-	if in > opt.MaxIn || out > opt.MaxOut {
-		t.Fatalf("GA cut io (%d,%d) exceeds (%d,%d)", in, out, opt.MaxIn, opt.MaxOut)
+	if m.NumIn > opt.MaxIn || m.NumOut > opt.MaxOut {
+		t.Fatalf("GA cut io (%d,%d) exceeds (%d,%d)", m.NumIn, m.NumOut, opt.MaxIn, opt.MaxOut)
 	}
 	cut.Nodes.ForEach(func(v int) bool {
 		if blk.ForbiddenInCut(v) {

@@ -204,14 +204,28 @@ func (g *DAG) requireFrozen(op string) {
 // the cut. Equivalently no outside node has both an ancestor and a
 // descendant inside the cut, i.e. none lies in both the union of the cut
 // members' descendant cones and the union of their ancestor cones.
-//
-// The cones are unioned one word at a time (cut members inner, words
-// outer), so the check costs O(|cut|·n/64) word operations and allocates
-// nothing; ConvexViolators is the definitional per-node scan it must agree
-// with.
 func (g *DAG) IsConvex(cut *BitSet) bool {
 	g.requireFrozen("IsConvex")
+	return g.coneViolators(cut, true) == 0
+}
+
+// ViolatorCount returns the number of outside nodes that witness
+// non-convexity of the cut (nodes with both an ancestor and a descendant
+// inside it); 0 exactly when IsConvex holds.
+func (g *DAG) ViolatorCount(cut *BitSet) int {
+	g.requireFrozen("ViolatorCount")
+	return g.coneViolators(cut, false)
+}
+
+// coneViolators is the cone union behind IsConvex and ViolatorCount: for
+// each word it ORs the cut members' descendant and ancestor words and
+// popcounts below & above &^ cut. With first set it stops at the first
+// nonzero word, so the result is then only zero or not. The cones are
+// unioned one word at a time (cut members inner, words outer): O(|cut|·n/64)
+// word operations, no allocation.
+func (g *DAG) coneViolators(cut *BitSet, first bool) int {
 	cw := cut.words[:(g.n+wordBits-1)/wordBits]
+	count := 0
 	for i := range cw {
 		var below, above uint64
 		for j, w := range cw {
@@ -222,28 +236,14 @@ func (g *DAG) IsConvex(cut *BitSet) bool {
 				above |= g.anc[c].words[i]
 			}
 		}
-		if below&above&^cw[i] != 0 {
-			return false
+		if viol := below & above &^ cw[i]; viol != 0 {
+			count += bits.OnesCount64(viol)
+			if first {
+				return count
+			}
 		}
 	}
-	return true
-}
-
-// ConvexViolators returns the outside nodes that witness non-convexity of
-// the cut (nodes with both an ancestor and a descendant inside the cut).
-// It is the definitional scan that IsConvex's cone union must agree with.
-func (g *DAG) ConvexViolators(cut *BitSet) []int {
-	g.requireFrozen("ConvexViolators")
-	var out []int
-	for v := 0; v < g.n; v++ {
-		if cut.Has(v) {
-			continue
-		}
-		if g.anc[v].Intersects(cut) && g.desc[v].Intersects(cut) {
-			out = append(out, v)
-		}
-	}
-	return out
+	return count
 }
 
 // CompScratch carries the reusable buffers of DAG.ComponentsInto. The zero

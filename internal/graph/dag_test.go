@@ -137,9 +137,11 @@ func TestIsConvex(t *testing.T) {
 	if g.IsConvex(cut) {
 		t.Error("cut {0,3} is not convex (path 0->1->3 leaves and re-enters)")
 	}
-	viol := g.ConvexViolators(cut)
-	if len(viol) != 2 {
+	if viol := g.ConvexViolators(cut); len(viol) != 2 {
 		t.Errorf("ConvexViolators = %v, want {1,2}", viol)
+	}
+	if c := g.ViolatorCount(cut); c != 2 {
+		t.Errorf("ViolatorCount = %d, want 2", c)
 	}
 	cut.Set(1)
 	cut.Set(2)
@@ -148,6 +150,9 @@ func TestIsConvex(t *testing.T) {
 	}
 	if v := g.ConvexViolators(cut); len(v) != 0 {
 		t.Errorf("full cut violators = %v, want none", v)
+	}
+	if c := g.ViolatorCount(cut); c != 0 {
+		t.Errorf("full cut ViolatorCount = %d, want 0", c)
 	}
 	empty := NewBitSet(4)
 	if !g.IsConvex(empty) {
@@ -160,9 +165,24 @@ func TestIsConvex(t *testing.T) {
 	}
 }
 
-// Property: IsConvex (the word-wise cone union) agrees with the definition
-// checked node by node, and with ConvexViolators, on random DAGs that fit
-// one word (2-19 nodes) and on DAGs spanning several words (65-300 nodes).
+// ConvexViolators returns the outside nodes that witness non-convexity of
+// the cut (nodes with both an ancestor and a descendant inside it), checked
+// node by node. It is the definitional reference the cone union behind
+// IsConvex and ViolatorCount must agree with.
+func (g *DAG) ConvexViolators(cut *BitSet) []int {
+	var out []int
+	for v := 0; v < g.n; v++ {
+		if !cut.Has(v) && g.anc[v].Intersects(cut) && g.desc[v].Intersects(cut) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// Property: the word-wise cone union agrees with ConvexViolators — IsConvex
+// on the verdict, ViolatorCount on the number of witnesses — on random DAGs
+// that fit one word (2-19 nodes) and on DAGs spanning several words
+// (65-300 nodes).
 // Cuts are drawn three ways — random subsets, a few scattered nodes, and
 // the closed interval between two related nodes with one member possibly
 // dropped — so both verdicts occur at every size.
@@ -211,23 +231,13 @@ func TestIsConvexMatchesDefinition(t *testing.T) {
 				}
 			}
 		}
-		// Definition: convex iff for no outside node x, anc(x)∩C and desc(x)∩C
-		// are both non-empty.
-		want := true
-		for x := 0; x < n && want; x++ {
-			if cut.Has(x) {
-				continue
-			}
-			if g.Anc(x).Intersects(cut) && g.Desc(x).Intersects(cut) {
-				want = false
-			}
-		}
+		viol := g.ConvexViolators(cut)
 		got := g.IsConvex(cut)
-		if got != want {
+		if want := len(viol) == 0; got != want {
 			t.Fatalf("trial %d (n=%d): IsConvex = %v, want %v (cut %v)", trial, n, got, want, cut)
 		}
-		if viol := g.ConvexViolators(cut); got != (len(viol) == 0) {
-			t.Fatalf("trial %d (n=%d): IsConvex = %v but ConvexViolators = %v", trial, n, got, viol)
+		if c := g.ViolatorCount(cut); c != len(viol) {
+			t.Fatalf("trial %d (n=%d): ViolatorCount = %d, want %d (violators %v)", trial, n, c, len(viol), viol)
 		}
 		m := 0
 		if multi {
@@ -247,7 +257,8 @@ func TestIsConvexMatchesDefinition(t *testing.T) {
 }
 
 // IsConvex runs inside the reuse matcher's accept step, once per completed
-// mapping, so it must not allocate.
+// mapping, and ViolatorCount inside every cut costing, so neither may
+// allocate.
 func TestIsConvexAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randDAG(rng, 300, 0.01)
@@ -257,6 +268,9 @@ func TestIsConvexAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { g.IsConvex(cut) }); allocs != 0 {
 		t.Fatalf("IsConvex allocates %.1f times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.ViolatorCount(cut) }); allocs != 0 {
+		t.Fatalf("ViolatorCount allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -33,13 +33,13 @@ func TestFigure1LargeScaleReuse(t *testing.T) {
 	countInstances := func(cut *graph.BitSet) (int, float64) {
 		cands := []eval.Selection{}
 		_ = cands
-		sw, cp, _, _, convex := core.CutMetrics(blk, model, cut)
-		if !convex {
+		m := core.MetricsOf(blk, model, cut)
+		if !m.Convex() {
 			t.Fatalf("template %v not convex", cut)
 		}
-		merit := core.MeritOf(sw, cp)
+		merit := m.Merit()
 		// Count disjoint instances via the claimer pipeline.
-		cutCopy := &core.Cut{Block: blk, Nodes: cut, SWLat: sw, HWLat: cp}
+		cutCopy := &core.Cut{Block: blk, Nodes: cut, SWLat: m.SWLat, HWLat: m.HWLat}
 		sels := eval.ClaimAllWithReuse(app, []*core.Cut{cutCopy}, func(*core.Cut) int { return 0 })
 		if len(sels) != 1 {
 			t.Fatalf("claiming failed for %v", cut)

@@ -107,7 +107,9 @@ type Engine interface {
 	// cancellation: the K-L and exact engines poll ctx inside their inner
 	// loops (amortized, every few thousand search steps) and abort
 	// mid-search with ctx.Err(); the genetic engine checks between
-	// generations.
+	// generations. The heuristic engines (K-L, genetic) return the cuts
+	// found before the cancellation together with ctx.Err(), so a caller
+	// racing against a deadline keeps their best-so-far answer.
 	RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error)
 }
 
@@ -167,9 +169,6 @@ func (e *KL) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim 
 // block nodes to NISE disjoint feasible cuts (tiny blocks only).
 type ExactJoint struct {
 	Cache *CostCache
-	// Metrics overrides the costing function (takes precedence over
-	// Cache); used by facade callers that bring their own memoization.
-	Metrics core.MetricsFunc
 }
 
 // Name implements Engine.
@@ -182,7 +181,7 @@ func (e *ExactJoint) Name() string { return "Exact" }
 // bit-identical results.
 func (e *ExactJoint) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
 	start := time.Now()
-	opt, err := exactOptions(e.Name(), obj, lim, e.Cache, e.Metrics)
+	opt, err := exactOptions(e.Name(), obj, lim, e.Cache)
 	if err != nil {
 		return nil, Stats{Engine: e.Name()}, err
 	}
@@ -199,9 +198,6 @@ func (e *ExactJoint) RunContext(ctx context.Context, blk *ir.Block, obj *Objecti
 // single cut is found, frozen, and the search repeats.
 type ExactIterative struct {
 	Cache *CostCache
-	// Metrics overrides the costing function (takes precedence over
-	// Cache); used by facade callers that bring their own memoization.
-	Metrics core.MetricsFunc
 }
 
 // Name implements Engine.
@@ -214,7 +210,7 @@ func (e *ExactIterative) Name() string { return "Iterative" }
 // bit-identical results.
 func (e *ExactIterative) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
 	start := time.Now()
-	opt, err := exactOptions(e.Name(), obj, lim, e.Cache, e.Metrics)
+	opt, err := exactOptions(e.Name(), obj, lim, e.Cache)
 	if err != nil {
 		return nil, Stats{Engine: e.Name()}, err
 	}
@@ -235,7 +231,7 @@ func checkObjective(obj *Objective) error {
 	return nil
 }
 
-func exactOptions(name string, obj *Objective, lim *Limits, cache *CostCache, metrics core.MetricsFunc) (exact.Options, error) {
+func exactOptions(name string, obj *Objective, lim *Limits, cache *CostCache) (exact.Options, error) {
 	if err := checkObjective(obj); err != nil {
 		return exact.Options{}, err
 	}
@@ -249,9 +245,6 @@ func exactOptions(name string, obj *Objective, lim *Limits, cache *CostCache, me
 	}
 	if cache != nil {
 		opt.Metrics = cache.Metrics
-	}
-	if metrics != nil {
-		opt.Metrics = metrics
 	}
 	return opt, nil
 }
@@ -277,7 +270,8 @@ func (e *Genetic) SetSeed(seed int64) { e.Seed = seed }
 // RunContext implements Engine. The evolution optimizes (penalty-shaped)
 // merit internally, so objectives with a custom scorer are rejected
 // rather than ignored. The evolution is not cancellable mid-generation;
-// the context is checked up front and between generations.
+// the context is checked up front and between generations, and a
+// cancelled run returns the cuts evolved before the stop with ctx.Err().
 func (e *Genetic) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -299,20 +293,17 @@ func (e *Genetic) RunContext(ctx context.Context, blk *ir.Block, obj *Objective,
 		opt.Metrics = e.Cache.Metrics
 	}
 	// Mid-run cancellation: the evolution polls the context between
-	// generations and abandons early, honoring the engine contract of
-	// returning ctx.Err() instead of a silently truncated answer.
+	// generations and abandons early; ctx.Err() marks the returned cuts
+	// as a truncated answer.
 	opt.Stop = func() bool { return ctx.Err() != nil }
 	_, sp := obs.StartSpan(ctx, obs.KindEngine, e.Name())
 	defer sp.End()
 	opt.Obs = obs.FromContext(ctx)
 	cuts, err := genetic.Iterative(blk, opt, lim.NISE)
-	if err == nil {
-		err = ctx.Err()
-	}
 	if err != nil {
 		return nil, Stats{Engine: e.Name()}, err
 	}
-	return cuts, Stats{Engine: e.Name(), Cuts: len(cuts), Duration: time.Since(start)}, nil
+	return cuts, Stats{Engine: e.Name(), Cuts: len(cuts), Duration: time.Since(start)}, ctx.Err()
 }
 
 // engineFactories maps registry names (lower-case CLI spellings) to

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/genetic"
 	"repro/internal/ir"
 	"repro/internal/obs"
 )
@@ -127,7 +126,7 @@ type heurOut struct {
 func (e *Racing) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
 	start := time.Now()
 	stats := Stats{Engine: e.Name()}
-	opt, err := exactOptions(e.Name(), obj, lim, e.Cache, nil)
+	opt, err := exactOptions(e.Name(), obj, lim, e.Cache)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -186,28 +185,21 @@ func (e *Racing) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, 
 		}
 		heurCh <- heurOut{engine: kl.Name(), cuts: cuts, err: err}
 	}()
-	// The genetic racer: slower than K-L but routinely optimal where K-L
-	// stalls in a local maximum, so its (later) publication tightens the
-	// bound further. Mid-race cancellation is polled between generations;
-	// the best cuts found before the stop still come back as a partial
-	// answer for the deadline path.
+	// The genetic racer (the registry's seed): slower than K-L but
+	// routinely optimal where K-L stalls in a local maximum, so its
+	// (later) publication tightens the bound further. Like K-L, a run
+	// cancelled between generations still returns its best cuts so far
+	// as a partial answer for the deadline path.
 	go func() {
 		if e.gate != nil {
 			e.gate()
 		}
-		gopt := genetic.Options{
-			MaxIn: lim.MaxIn, MaxOut: lim.MaxOut, Model: obj.Model,
-			Seed: 1, // the registry's default genetic seed
-			Stop: func() bool { return raceCtx.Err() != nil },
+		ga := &Genetic{Seed: 1, Cache: e.Cache}
+		cuts, _, err := ga.RunContext(raceCtx, blk, obj, lim)
+		if err == nil {
+			seed(ga.Name(), cuts)
 		}
-		if e.Cache != nil {
-			gopt.Metrics = e.Cache.Metrics
-		}
-		cuts, err := genetic.Iterative(blk, gopt, lim.NISE)
-		if err == nil && raceCtx.Err() == nil {
-			seed("Genetic", cuts)
-		}
-		heurCh <- heurOut{engine: "Genetic", cuts: cuts, err: err}
+		heurCh <- heurOut{engine: ga.Name(), cuts: cuts, err: err}
 	}()
 	const heurRacers = 2
 

@@ -196,7 +196,8 @@ func TestRacingSeedObserved(t *testing.T) {
 // search cannot finish (no node limit, no budget), a deadlined racer
 // returns K-L's answer as best-so-far — nil error, Optimal false, the
 // stream holding only anytime events matching the returned cuts — and
-// leaks no goroutines.
+// leaks no goroutines. The genetic racer runs through the Genetic engine,
+// so the recorder sees its engine span and its fitness evaluations.
 func TestRacingDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	blk := racingRandBlock(rng, 60) // intractable for the joint search
@@ -206,12 +207,14 @@ func TestRacingDeadline(t *testing.T) {
 	var events []RaceEvent
 	racer := &Racing{Cache: NewCostCache(), OnEvent: func(ev RaceEvent) { events = append(events, ev) }}
 	lim := &Limits{MaxIn: 4, MaxOut: 2, NISE: 4, Deadline: 2 * time.Second}
+	rec := obs.NewRecorder(-1)
 	start := time.Now()
-	cuts, stats, seeds, err := runSeedsRecorded(racer, blk, obj, lim)
+	cuts, stats, err := racer.RunContext(obs.WithRecorder(context.Background(), rec), blk, obj, lim)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("deadlined race: %v", err)
 	}
+	seeds := rec.Counters().Get(obs.RacingSeeds)
 	if elapsed > 30*time.Second {
 		t.Fatalf("deadline of %v enforced only after %v", lim.Deadline, elapsed)
 	}
@@ -238,6 +241,17 @@ func TestRacingDeadline(t *testing.T) {
 	}
 	if seeds == 0 {
 		t.Fatal("completed K-L run did not register as a seed: racing_seed_publications = 0")
+	}
+	// The 60-node evolution finishes well inside the deadline.
+	if n := rec.Counters().Get(obs.GeneticEvaluations); n == 0 {
+		t.Fatal("genetic racer recorded no fitness evaluations")
+	}
+	gaSpan := false
+	for _, sp := range rec.Spans() {
+		gaSpan = gaSpan || (sp.Kind == obs.KindEngine && sp.Name == "Genetic")
+	}
+	if !gaSpan {
+		t.Fatal("genetic racer left no Genetic engine span")
 	}
 	waitGoroutines(t, base)
 }
