@@ -1,11 +1,9 @@
-// Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation. The numeric series themselves are regenerated by
-// `go run ./cmd/isebench`; the benchmarks here measure the computational
-// cost of each experiment's algorithm and report the headline quality
-// metric via b.ReportMetric, so `go test -bench=. -benchmem` exercises
-// every experiment end to end. The *Sequential/*Parallel pairs expose the
-// speedup of the search layer's worker-pool fan-out (identical results,
-// different wall-clock).
+// Benchmark harness. BenchmarkSuites times the paper's Figure 4/6/7
+// workloads from internal/benchsuite — the same closures, under the same
+// names, that `isebench -json` measures into BENCH_<rev>.json — and
+// reports each suite's quality number via b.ReportMetric. The remaining
+// benchmarks cover the ablation and extension studies, whose tables are
+// regenerated by `go run ./cmd/isebench`.
 package isegen_test
 
 import (
@@ -13,202 +11,49 @@ import (
 	"testing"
 
 	isegen "repro"
-	"repro/internal/core"
-	"repro/internal/eval"
-	"repro/internal/exact"
+	"repro/internal/benchsuite"
 	"repro/internal/experiments"
-	"repro/internal/genetic"
 	"repro/internal/kernels"
-	"repro/internal/latency"
-	"repro/internal/search"
 )
 
-// benchFigure4Suite runs the unified K-L driver (cuts only, the Figure 4
-// protocol) over the seven-benchmark suite with the given worker count.
-func benchFigure4Suite(b *testing.B, workers int) {
-	specs := kernels.All()
-	model := latency.Default()
-	speed := 0.0
-	for i := 0; i < b.N; i++ {
-		speed = 0
-		r := &search.Runner{Workers: workers, Cache: search.NewCostCache()}
-		for _, spec := range specs {
-			cfg := core.DefaultConfig()
-			cuts, _, err := r.GenerateContext(context.Background(), spec.App, cfg, search.Merit(model), nil)
+// BenchmarkSuites runs every benchsuite entry as a sub-benchmark; select
+// one with e.g. -bench 'Suites/figure6/aes/par'. Setup stays untimed.
+func BenchmarkSuites(b *testing.B) {
+	for _, s := range benchsuite.Suites() {
+		b.Run(s.Name, func(b *testing.B) {
+			run, err := s.Setup()
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := eval.SpeedupOfCuts(spec.App, model, cuts)
-			if err != nil {
-				b.Fatal(err)
+			b.ResetTimer()
+			q := 0.0
+			for i := 0; i < b.N; i++ {
+				if q, err = run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
 			}
-			speed += rep.Speedup
-		}
-	}
-	b.ReportMetric(speed/float64(len(specs)), "mean-speedup")
-}
-
-// BenchmarkFigure4ISEGEN runs ISEGEN (the paper's contribution) over the
-// whole Figure 4 suite: seven benchmarks, I/O (4,2), 4 AFUs (sequential
-// reference path).
-func BenchmarkFigure4ISEGEN(b *testing.B) { benchFigure4Suite(b, 1) }
-
-// BenchmarkFigure4ISEGENParallel is the same suite with restart
-// trajectories fanned out across all cores — bit-identical results.
-func BenchmarkFigure4ISEGENParallel(b *testing.B) { benchFigure4Suite(b, 0) }
-
-// BenchmarkFigure4Genetic runs the DAC'04 genetic baseline over the same
-// suite (the runtime ratio against BenchmarkFigure4ISEGEN is the paper's
-// Figure 4 right-hand plot).
-func BenchmarkFigure4Genetic(b *testing.B) {
-	specs := kernels.All()
-	for i := 0; i < b.N; i++ {
-		for _, spec := range specs {
-			opt := genetic.Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Seed: 1}
-			if _, err := genetic.Iterative(spec.App.Blocks[0], opt, 4); err != nil {
-				b.Fatal(err)
+			if s.Unit != "" {
+				b.ReportMetric(q, s.Unit)
 			}
-		}
+		})
 	}
 }
 
-// benchFigure4Iterative runs the exact iterative single-cut baseline on
-// every block it can handle (≤ 100 nodes, as in the paper), with the
-// given in-block subtree worker setting.
-func benchFigure4Iterative(b *testing.B, subtreeWorkers int) {
-	specs := kernels.All()
-	for i := 0; i < b.N; i++ {
-		for _, spec := range specs {
-			if spec.CriticalSize > 100 {
-				continue
-			}
-			opt := exact.Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Budget: 2_000_000_000, Workers: subtreeWorkers}
-			if _, err := exact.IterativeContext(context.Background(), spec.App.Blocks[0], opt, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkFigure4Iterative is the single-threaded branch-and-bound
-// reference path.
-func BenchmarkFigure4Iterative(b *testing.B) { benchFigure4Iterative(b, 0) }
-
-// BenchmarkFigure4IterativeParallel fans the branch-and-bound out inside
-// each block (one subtree worker per core, shared best-bound) —
-// bit-identical cuts, different wall-clock on multi-core hosts.
-func BenchmarkFigure4IterativeParallel(b *testing.B) { benchFigure4Iterative(b, -1) }
-
-// benchFigure4Exact runs the exact joint multi-cut baseline on the blocks
-// it can handle (≤ 25 nodes, as in the paper).
-func benchFigure4Exact(b *testing.B, subtreeWorkers int) {
-	specs := kernels.All()
-	for i := 0; i < b.N; i++ {
-		for _, spec := range specs {
-			if spec.CriticalSize > 25 {
-				continue
-			}
-			opt := exact.Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Budget: 2_000_000_000, Workers: subtreeWorkers}
-			if _, err := exact.MultiCutContext(context.Background(), spec.App.Blocks[0], opt, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkFigure4Exact is the single-threaded joint search.
-func BenchmarkFigure4Exact(b *testing.B) { benchFigure4Exact(b, 0) }
-
-// BenchmarkFigure4ExactParallel is the same joint search on the in-block
-// subtree pool — bit-identical cuts.
-func BenchmarkFigure4ExactParallel(b *testing.B) { benchFigure4Exact(b, -1) }
-
-// benchGenerateAES runs the full ISEGEN-with-reuse pipeline on AES at the
-// paper's central (4,2) point with 4 AFUs and the given worker count.
-func benchGenerateAES(b *testing.B, workers int) {
-	speed := 0.0
-	for i := 0; i < b.N; i++ {
-		app := kernels.AES()
-		cfg := isegen.DefaultConfig()
-		cfg.Workers = workers
-		res, err := isegen.Generate(app, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speed = res.Report.Speedup
-	}
-	b.ReportMetric(speed, "speedup")
-}
-
-// BenchmarkFigure6AES runs the full ISEGEN-with-reuse pipeline on AES at
-// the paper's central (4,2) point with 4 AFUs (one x-position of Figure 6
-// right; cmd/isebench sweeps all six). Sequential reference path.
-func BenchmarkFigure6AES(b *testing.B) { benchGenerateAES(b, 1) }
-
-// BenchmarkFigure6AESParallel is the same pipeline with the K-L restart
-// trajectories fanned out across all cores. The Selections and Report are
-// bit-identical to the sequential run; only wall-clock changes — the
-// ratio of these two benchmarks is the restart-fan-out speedup.
-func BenchmarkFigure6AESParallel(b *testing.B) { benchGenerateAES(b, 0) }
-
-// BenchmarkFigure6AESGenetic is the genetic side of the same Figure 6
-// point, with identical reuse treatment.
-func BenchmarkFigure6AESGenetic(b *testing.B) {
-	speed := 0.0
-	for i := 0; i < b.N; i++ {
-		app := kernels.AES()
-		opt := genetic.Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Seed: 1}
-		cuts, err := genetic.Iterative(app.Blocks[0], opt, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sels := eval.ClaimAllWithReuse(app, cuts, func(*core.Cut) int { return 0 })
-		rep, err := eval.Evaluate(app, latency.Default(), sels)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speed = rep.Speedup
-	}
-	b.ReportMetric(speed, "speedup")
-}
-
-// BenchmarkFigure7Reuse measures the instance matcher on AES: find every
-// occurrence of the xtime cut ISEGEN selects under (2,1) — the engine
-// behind the Figure 7 reusability counts.
-func BenchmarkFigure7Reuse(b *testing.B) {
-	app := kernels.AES()
-	cfg := isegen.DefaultConfig()
-	cfg.MaxIn, cfg.MaxOut, cfg.NISE = 2, 1, 1
-	cuts, err := isegen.GenerateCutsOnly(app, cfg)
-	if err != nil || len(cuts) == 0 {
-		b.Fatalf("no cut: %v", err)
-	}
-	b.ResetTimer()
-	insts := 0
-	for i := 0; i < b.N; i++ {
-		insts = len(isegen.FindInstances(app, 0, cuts[0].Nodes, 0))
-	}
-	b.ReportMetric(float64(insts), "instances")
-}
-
-// BenchmarkAblationWeights measures the gain-component ablation study
-// (design choices of Section 4.2).
-func BenchmarkAblationWeights(b *testing.B) {
+// BenchmarkAblation measures the ablation studies: the gain-function
+// components (Section 4.2), the K-L pass bound ("5 passes are enough",
+// Section 4.1) and the dispersed restarts. `isebench -ablation` prints
+// their speedup tables.
+func BenchmarkAblation(b *testing.B) {
 	o := experiments.DefaultOptions()
-	full := 0.0
-	for i := 0; i < b.N; i++ {
-		rows := experiments.AblationWeights(o)
-		full = rows[0].GeoMean
+	studies := []func(experiments.Options) []experiments.AblationRow{
+		experiments.AblationWeights, experiments.AblationPasses, experiments.AblationRestarts,
 	}
-	b.ReportMetric(full, "geomean-speedup")
-}
-
-// BenchmarkAblationPasses measures the K-L pass-count study ("5 passes are
-// enough", Section 4.1).
-func BenchmarkAblationPasses(b *testing.B) {
-	o := experiments.DefaultOptions()
-	for i := 0; i < b.N; i++ {
-		experiments.AblationPasses(o)
+	for i, name := range []string{"weights", "passes", "restarts"} {
+		b.Run(name, func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				studies[i](o)
+			}
+		})
 	}
 }
 
@@ -223,20 +68,45 @@ func BenchmarkSimValidation(b *testing.B) {
 	}
 }
 
-// BenchmarkKLBipartitionAES isolates the core contribution: one full K-L
-// bi-partition of the 696-node AES block (the workload the exact
-// approaches cannot handle).
-func BenchmarkKLBipartitionAES(b *testing.B) {
+// BenchmarkAreaKnapsack measures the area-budget selection extension
+// (cmd/isebench -area) on the AES candidate pool.
+func BenchmarkAreaKnapsack(b *testing.B) {
 	app := kernels.AES()
-	cfg := core.DefaultConfig()
+	model := isegen.DefaultModel()
+	cfg := isegen.DefaultConfig()
+	cfg.NISE = 8
+	res, err := isegen.Generate(app, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
+	kept := 0
 	for i := 0; i < b.N; i++ {
-		eng, err := core.NewEngine(app.Blocks[0], cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if eng.Bipartition() == nil {
-			b.Fatal("no cut on AES")
+		kept = len(isegen.SelectUnderAreaBudget(app, model, res.Selections, 8000))
+	}
+	b.ReportMetric(float64(kept), "afus-kept")
+}
+
+// BenchmarkHWGenAES measures Verilog AFU generation for every ISE ISEGEN
+// selects on AES.
+func BenchmarkHWGenAES(b *testing.B) {
+	app := kernels.AES()
+	model := isegen.DefaultModel()
+	res, err := isegen.Generate(app, isegen.DefaultConfig())
+	if err != nil || len(res.Selections) == 0 {
+		b.Fatalf("generate: %v", err)
+	}
+	b.ResetTimer()
+	bytesOut := 0
+	for i := 0; i < b.N; i++ {
+		bytesOut = 0
+		for _, sel := range res.Selections {
+			mod, err := isegen.GenerateAFU(sel.Cut.Block, sel.Cut.Nodes, model, "afu")
+			if err != nil {
+				b.Fatal(err)
+			}
+			bytesOut += len(mod.Verilog())
 		}
 	}
+	b.ReportMetric(float64(bytesOut), "verilog-bytes")
 }

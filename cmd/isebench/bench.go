@@ -11,18 +11,13 @@ import (
 	"strings"
 	"time"
 
-	isegen "repro"
-	"repro/internal/core"
-	"repro/internal/exact"
-	"repro/internal/kernels"
-	"repro/internal/latency"
+	"repro/internal/benchsuite"
 	"repro/internal/obs"
-	"repro/internal/search"
 )
 
 // benchRecord is one measured suite in the JSON benchmark file: wall time
-// and allocation counts for a single iteration (-benchtime=1x semantics,
-// the same protocol as the CI benchmark smoke step), plus the
+// and allocation counts for a single iteration (the semantics of `go test
+// -bench Suites -benchtime 1x`, which runs the same table), plus the
 // engine-internal counter deltas observed during the run — work measures
 // (nodes explored, toggles, probes) that stay meaningful when wall-clock
 // is noisy. Counters are recorded with a counters-only recorder (span
@@ -93,142 +88,33 @@ func packedRef(name string) string {
 	return ""
 }
 
-// measure runs fn once, recording wall time and allocation deltas (a GC
-// first stabilizes the Mallocs counter against leftover garbage).
-func measure(name string, fn func()) benchRecord {
+// measure sets one suite up and times one run of it, recording wall time,
+// allocation deltas (a GC first stabilizes the Mallocs counter against
+// leftover garbage) and engine work counters. The recorder is
+// counters-only: span recording disabled (cap 0), so the span path stays
+// out of the measured allocation counts and only the per-flush atomic
+// adds ride along.
+func measure(s benchsuite.Suite) (benchRecord, error) {
+	run, err := s.Setup()
+	if err != nil {
+		return benchRecord{}, err
+	}
+	or := obs.NewRecorder(0)
+	ctx := obs.WithRecorder(context.Background(), or)
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	fn()
+	_, err = run(ctx)
 	dur := time.Since(start)
 	runtime.ReadMemStats(&after)
 	return benchRecord{
-		Name:        name,
+		Name:        s.Name,
 		NsPerOp:     dur.Nanoseconds(),
 		AllocsPerOp: after.Mallocs - before.Mallocs,
 		BytesPerOp:  after.TotalAlloc - before.TotalAlloc,
-	}
-}
-
-// benchSuites are the Figure 4 and Figure 6 measurement points, each as a
-// sequential / parallel pair so the perf trajectory captures both the
-// allocation work (visible on any machine) and the fan-out speedup
-// (visible on multi-core hosts only), plus the Figure 7 instance matcher
-// (single-threaded, so it has no pair). Each suite takes the harness
-// context, which carries a counters-only recorder so the record can
-// report work deltas next to ns/op.
-func benchSuites() []struct {
-	name string
-	fn   func(ctx context.Context)
-} {
-	model := latency.Default()
-	fig4KL := func(workers int) func(context.Context) {
-		return func(ctx context.Context) {
-			specs := kernels.All()
-			r := &search.Runner{Workers: workers, Cache: search.NewCostCache()}
-			for _, spec := range specs {
-				cfg := core.DefaultConfig()
-				if _, _, err := r.GenerateContext(ctx, spec.App, cfg, search.Merit(model), nil); err != nil {
-					fatal(err)
-				}
-			}
-		}
-	}
-	fig4Iterative := func(subtreeWorkers int) func(context.Context) {
-		return func(ctx context.Context) {
-			for _, spec := range kernels.All() {
-				if spec.CriticalSize > 100 {
-					continue
-				}
-				opt := exact.Options{MaxIn: 4, MaxOut: 2, Model: model, Budget: 2_000_000_000, Workers: subtreeWorkers}
-				if _, err := exact.IterativeContext(ctx, spec.App.Blocks[0], opt, 4); err != nil {
-					fatal(err)
-				}
-			}
-		}
-	}
-	fig4Exact := func(subtreeWorkers int) func(context.Context) {
-		return func(ctx context.Context) {
-			for _, spec := range kernels.All() {
-				if spec.CriticalSize > 25 {
-					continue
-				}
-				opt := exact.Options{MaxIn: 4, MaxOut: 2, Model: model, Budget: 2_000_000_000, Workers: subtreeWorkers}
-				if _, err := exact.MultiCutContext(ctx, spec.App.Blocks[0], opt, 4); err != nil {
-					fatal(err)
-				}
-			}
-		}
-	}
-	// fig4Racing covers exactly fig4Exact's kernel subset so the pair is
-	// directly comparable: same blocks, same optimal answers, the racing
-	// suite measuring how much the K-L-seeded bound prunes the proof.
-	fig4Racing := func(klWorkers, subtreeWorkers int) func(context.Context) {
-		return func(ctx context.Context) {
-			for _, spec := range kernels.All() {
-				if spec.CriticalSize > 25 {
-					continue
-				}
-				eng := &search.Racing{Cache: search.NewCostCache()}
-				lim := &search.Limits{
-					MaxIn: 4, MaxOut: 2, NISE: 4, Budget: 2_000_000_000,
-					Workers: klWorkers, SubtreeWorkers: subtreeWorkers,
-				}
-				if _, _, err := eng.RunContext(ctx, spec.App.Blocks[0], search.Merit(model), lim); err != nil {
-					fatal(err)
-				}
-			}
-		}
-	}
-	fig6AES := func(workers int) func(context.Context) {
-		return func(ctx context.Context) {
-			app := kernels.AES()
-			cfg := isegen.DefaultConfig()
-			cfg.Workers = workers
-			if _, err := isegen.GenerateContext(ctx, app, cfg, nil); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	// fig7Reuse measures the instance matcher alone, as
-	// BenchmarkFigure7Reuse does: the xtime cut ISEGEN selects on AES
-	// under (2,1) is identified once, outside the measured call, and the
-	// suite finds its occurrences across the application.
-	fig7Reuse := func() func(context.Context) {
-		app := kernels.AES()
-		cfg := isegen.DefaultConfig()
-		cfg.MaxIn, cfg.MaxOut, cfg.NISE = 2, 1, 1
-		cuts, err := isegen.GenerateCutsOnly(app, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		if len(cuts) == 0 {
-			fatal(fmt.Errorf("figure7/reuse: no cut on AES under (2,1)"))
-		}
-		return func(context.Context) { isegen.FindInstances(app, 0, cuts[0].Nodes, 0) }
-	}
-	return []struct {
-		name string
-		fn   func(ctx context.Context)
-	}{
-		{"figure4/isegen/seq", fig4KL(1)},
-		{"figure4/isegen/par", fig4KL(0)},
-		{"figure4/iterative/seq", fig4Iterative(0)},
-		{"figure4/iterative/par", fig4Iterative(-1)},
-		{"figure4/exact/seq", fig4Exact(0)},
-		{"figure4/exact/par", fig4Exact(-1)},
-		{"figure4/racing/seq", fig4Racing(1, 0)},
-		{"figure4/racing/par", fig4Racing(0, -1)},
-		{"figure6/aes/seq", fig6AES(1)},
-		{"figure6/aes/par", fig6AES(0)},
-		{"figure7/reuse", fig7Reuse()},
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "isebench:", err)
-	os.Exit(1)
+		Counters:    or.Counters().Map(),
+	}, err
 }
 
 // runBenchJSON is the `isebench -json` mode: measure every suite once and
@@ -246,14 +132,11 @@ func runBenchJSON(rev, out string) error {
 		CPUs:      runtime.GOMAXPROCS(0),
 		BenchTime: "1x",
 	}
-	for _, s := range benchSuites() {
-		// Counters-only recorder: span recording disabled (cap 0), so the
-		// span path stays out of the measured allocation counts and only
-		// the per-flush atomic adds ride along.
-		or := obs.NewRecorder(0)
-		ctx := obs.WithRecorder(context.Background(), or)
-		rec := measure(s.name, func() { s.fn(ctx) })
-		rec.Counters = or.Counters().Map()
+	for _, s := range benchsuite.Suites() {
+		rec, err := measure(s)
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.Name, err)
+		}
 		fmt.Fprintf(os.Stderr, "%-24s %12d ns/op %10d allocs/op %12d B/op\n",
 			rec.Name, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp)
 		bf.Benches = append(bf.Benches, rec)

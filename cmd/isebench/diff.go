@@ -37,46 +37,31 @@ var workCounters = []string{
 	"exact_subtree_tasks", "genetic_evaluations",
 }
 
-// counterWarnings compares a suite's work-counter deltas against the
-// baseline, returning one warning line per counter that grew past
-// counterWarnPct. Files without counters (older schema-1 baselines) are
-// silently ungated — both sides must carry a counter for it to be
-// compared.
-func counterWarnings(base, fresh map[string]int64) []string {
-	var warns []string
+// counterDeltas compares a suite's work-counter deltas against the
+// baseline, returning one line per counter that grew past counterWarnPct
+// (a warning) and one per counter that shrank past it. Improvements are
+// reported, not merely left silent, so a perf PR's counter win shows up
+// in the gate output — and a forgotten re-baseline after such a PR is
+// visible as a wall of improvement lines instead of nothing. Files
+// without counters (older schema-1 baselines) are silently ungated —
+// both sides must carry a counter for it to be compared.
+func counterDeltas(base, fresh map[string]int64) (grew, shrank []string) {
 	for _, name := range workCounters {
 		b, okB := base[name]
 		f, okF := fresh[name]
 		if !okB || !okF || b <= 0 {
 			continue
 		}
-		if f > b+b*counterWarnPct/100 {
-			warns = append(warns, fmt.Sprintf("%s %d -> %d (%+.1f%%, warn at +%d%%)",
+		switch {
+		case f > b+b*counterWarnPct/100:
+			grew = append(grew, fmt.Sprintf("%s %d -> %d (%+.1f%%, warn at +%d%%)",
 				name, b, f, pctDelta(float64(f), float64(b)), counterWarnPct))
-		}
-	}
-	return warns
-}
-
-// counterImprovements is counterWarnings' mirror: work counters that
-// shrank past counterWarnPct. Reported (not merely stayed silent on) so a
-// perf PR's counter win shows up in the gate output — and so a forgotten
-// re-baseline after such a PR is visible as a wall of improvement lines
-// instead of nothing.
-func counterImprovements(base, fresh map[string]int64) []string {
-	var wins []string
-	for _, name := range workCounters {
-		b, okB := base[name]
-		f, okF := fresh[name]
-		if !okB || !okF || b <= 0 {
-			continue
-		}
-		if f < b-b*counterWarnPct/100 {
-			wins = append(wins, fmt.Sprintf("%s %d -> %d (%+.1f%%)",
+		case f < b-b*counterWarnPct/100:
+			shrank = append(shrank, fmt.Sprintf("%s %d -> %d (%+.1f%%)",
 				name, b, f, pctDelta(float64(f), float64(b))))
 		}
 	}
-	return wins
+	return grew, shrank
 }
 
 // loadBenchFile reads one BENCH_<rev>.json.
@@ -143,6 +128,7 @@ func runBenchDiff(basePath, freshPath string, nsTol float64) error {
 			failures++
 			continue
 		}
+		delete(freshBy, b.Name) // what is left after the loop is ungated
 		status := "ok  "
 		detail := ""
 		if limit := allocLimit(b.Name, b.AllocsPerOp); f.AllocsPerOp > limit {
@@ -158,7 +144,7 @@ func runBenchDiff(basePath, freshPath string, nsTol float64) error {
 		}
 		// Work-counter regressions warn even when ns/op is in tolerance:
 		// wall-clock noise can mask an engine quietly exploring more nodes.
-		cwarns := counterWarnings(b.Counters, f.Counters)
+		cwarns, cwins := counterDeltas(b.Counters, f.Counters)
 		if status == "ok  " && len(cwarns) > 0 {
 			status = "WARN"
 		}
@@ -170,19 +156,15 @@ func runBenchDiff(basePath, freshPath string, nsTol float64) error {
 		for _, cw := range cwarns {
 			fmt.Printf("     %-24s work counter regressed: %s\n", "", cw)
 		}
-		for _, ci := range counterImprovements(b.Counters, f.Counters) {
+		for _, ci := range cwins {
 			fmt.Printf("     %-24s work counter improved: %s (re-baseline to lock in)\n", "", ci)
 		}
 	}
 	// The mirror direction: a fresh suite with no baseline entry is not
 	// gated at all — surface it so adding a benchmark without
 	// re-baselining does not silently escape the gate forever.
-	baseBy := make(map[string]bool, len(base.Benches))
-	for _, b := range base.Benches {
-		baseBy[b.Name] = true
-	}
 	for _, f := range fresh.Benches {
-		if !baseBy[f.Name] {
+		if _, ungated := freshBy[f.Name]; ungated {
 			fmt.Printf("WARN %-24s not in %s: ungated; re-baseline to start tracking it\n", f.Name, basePath)
 		}
 	}

@@ -11,12 +11,11 @@
 //	isebench -sim       only the cycle-level simulation validation
 //	isebench -energy    only the code-size / energy table
 //	isebench -area      only the AFU area-budget study
-//	isebench -json      measure the Figure 4/6 suites (ns/op, allocs/op,
-//	                    engine work-counter deltas; sequential vs parallel)
-//	                    and the Figure 7 instance matcher, and write
-//	                    BENCH_<rev>.json — the repository's tracked perf
-//	                    trajectory; the checked-in BENCH_baseline.json is
-//	                    one such file
+//	isebench -json      measure every suite of internal/benchsuite (the
+//	                    Figure 4/6/7 workloads; ns/op, allocs/op, engine
+//	                    work-counter deltas) and write BENCH_<rev>.json —
+//	                    the repository's tracked perf trajectory; the
+//	                    checked-in BENCH_baseline.json is one such file
 //	isebench -diff BENCH_baseline.json BENCH_<rev>.json
 //	                    gate a fresh measurement against the baseline:
 //	                    exits non-zero when any suite's allocs/op regressed
@@ -48,7 +47,7 @@ func main() {
 		energy   = flag.Bool("energy", false, "run only the code-size/energy table")
 		area     = flag.Bool("area", false, "run only the AFU area-budget study")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = one per CPU core; results are identical)")
-		jsonOut  = flag.Bool("json", false, "measure the Figure 4/6 suites (sequential vs parallel) and the Figure 7 matcher (-benchtime=1x protocol) and write BENCH_<rev>.json instead of the tables")
+		jsonOut  = flag.Bool("json", false, "measure the Figure 4/6/7 benchmark suites (-benchtime=1x protocol) and write BENCH_<rev>.json instead of the tables")
 		benchRev = flag.String("rev", "", "revision label for -json (default: the current git commit)")
 		benchOut = flag.String("out", "", `output path for -json ("-" = stdout; default BENCH_<rev>.json)`)
 		diffMode = flag.Bool("diff", false, "compare two BENCH json files (baseline fresh): exit non-zero on allocs/op regressions, warn on ns/op past -ns-tol")
@@ -60,17 +59,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "isebench: -diff needs two arguments: <baseline.json> <fresh.json>")
 			os.Exit(2)
 		}
-		if err := runBenchDiff(flag.Arg(0), flag.Arg(1), *nsTol); err != nil {
-			fmt.Fprintln(os.Stderr, "isebench:", err)
-			os.Exit(1)
-		}
+		exitOn(runBenchDiff(flag.Arg(0), flag.Arg(1), *nsTol))
 		return
 	}
 	if *jsonOut {
-		if err := runBenchJSON(*benchRev, *benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "isebench:", err)
-			os.Exit(1)
-		}
+		exitOn(runBenchJSON(*benchRev, *benchOut))
 		return
 	}
 	o := experiments.DefaultOptions()
@@ -104,28 +97,27 @@ func main() {
 	}
 	if all || *simOnly {
 		rows, err := experiments.SimulationValidation(o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "isebench:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		experiments.PrintSim(os.Stdout, rows)
 		fmt.Println()
 	}
 	if all || *energy {
 		rows, err := experiments.EnergyCodeSize(o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "isebench:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		experiments.PrintEnergy(os.Stdout, rows)
 		fmt.Println()
 	}
 	if all || *area {
 		rows, err := experiments.AreaStudy(o, experiments.DefaultAreaBudgets)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "isebench:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		experiments.PrintAreaStudy(os.Stdout, rows)
+	}
+}
+
+// exitOn reports a fatal error and exits non-zero; nil is a no-op.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "isebench:", err)
+		os.Exit(1)
 	}
 }

@@ -32,7 +32,7 @@ type Weights struct {
 // against exhaustive enumeration on 200 random kernels picked the setting
 // that maximizes the fraction of exactly-optimal results (97%) while
 // keeping the worst case above 70% of optimal; see
-// BenchmarkAblationWeights for the per-component contribution.
+// BenchmarkAblation/weights for the per-component contribution.
 func DefaultWeights() Weights {
 	return Weights{
 		Merit:       4.0,

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
+	isegen "repro"
 	"repro/internal/eval"
 	"repro/internal/kernels"
 )
@@ -31,12 +33,12 @@ func AreaStudy(o Options, budgets []float64) ([]AreaRow, error) {
 	for _, spec := range specs {
 		oo := o
 		oo.NISE = 8 // generous candidate pool for the knapsack
-		sels, err := selectionsWithReuse(spec.App, oo, nil)
+		res, err := isegen.GenerateContext(context.Background(), spec.App, oo.isegenConfig(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
 		for _, budget := range budgets {
-			picked := eval.SelectUnderAreaBudget(spec.App, o.Model, sels, budget)
+			picked := eval.SelectUnderAreaBudget(spec.App, o.Model, res.Selections, budget)
 			rep, err := eval.Evaluate(spec.App, o.Model, picked)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", spec.Name, err)

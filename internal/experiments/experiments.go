@@ -13,7 +13,8 @@
 // (cycle-level simulation, code size and energy).
 //
 // Every harness drives the algorithms through the unified engine layer of
-// internal/search — there are no per-algorithm driver loops here — and
+// internal/search — there are no per-algorithm driver loops here, and the
+// ISEGEN-with-reuse flows call the root facade's one pipeline — and
 // fans independent benchmark/configuration cells out across
 // Options.Workers with a deterministic merge, so results are identical to
 // a sequential run. The sweeps are not cancellable: they fan out under
@@ -31,6 +32,7 @@ import (
 	"sort"
 	"time"
 
+	isegen "repro"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/ir"
@@ -286,8 +288,8 @@ func Figure6(o Options, nise int) []Fig6Point {
 		}
 
 		iseSpeed := 1.0
-		if rep, err := generateWithReuse(app, oo, r.Cache); err == nil {
-			iseSpeed = rep.Speedup
+		if res, err := isegen.GenerateContext(context.Background(), app, oo.isegenConfig(), r.Cache); err == nil {
+			iseSpeed = res.Report.Speedup
 		}
 
 		out[i] = Fig6Point{IO: io, Genetic: gaSpeed, ISEGEN: iseSpeed}
@@ -324,12 +326,12 @@ func Figure7(o Options) []Fig7Row {
 		oo := o
 		oo.MaxIn, oo.MaxOut = io[0], io[1]
 		oo.Workers = 1 // sweep cells already saturate the pool
-		sels, err := selectionsWithReuse(app, oo, r.Cache)
+		res, err := isegen.GenerateContext(context.Background(), app, oo.isegenConfig(), r.Cache)
 		if err != nil {
 			return
 		}
 		row := &Fig7Row{IO: io}
-		for _, sel := range sels {
+		for _, sel := range res.Selections {
 			row.CutSizes = append(row.CutSizes, sel.Cut.Size())
 			row.Instances = append(row.Instances, len(sel.Instances))
 		}
@@ -457,9 +459,15 @@ func AblationRestarts(o Options) []AblationRow {
 	inner.Workers = 1 // variant cells already saturate the pool
 	rows := make([]AblationRow, len(restarts))
 	_ = r.ForEachContext(context.Background(), len(restarts), func(i int) {
+		// Cuts are selected by merit only (no reuse-aware scoring),
+		// isolating the K-L search quality that the dispersed restarts
+		// exist to improve; reuse instances are still claimed for
+		// evaluation.
+		cfg := inner.isegenConfig()
+		cfg.Restarts = restarts[i]
 		speed := 1.0
-		if rep, err := generateWithReuseRestarts(app, inner, restarts[i], r.Cache); err == nil {
-			speed = rep.Speedup
+		if res, err := isegen.GenerateWithObjectiveContext(context.Background(), app, cfg, "merit", isegen.ObjectiveParams{}, r.Cache); err == nil {
+			speed = res.Report.Speedup
 		}
 		rows[i] = AblationRow{Variant: fmt.Sprintf("restarts=%d", restarts[i]), GeoMean: speed}
 	})
@@ -504,6 +512,24 @@ func SimulationValidation(o Options) ([]SimRow, error) {
 	return rows, nil
 }
 
+// simOne produces one SimulationValidation row.
+func simOne(name string, app *ir.Application, o Options) (SimRow, error) {
+	res, err := isegen.GenerateContext(context.Background(), app, o.isegenConfig(), nil)
+	if err != nil {
+		return SimRow{}, err
+	}
+	simRes, err := isegen.Simulate(app, o.Model, res.Selections)
+	if err != nil {
+		return SimRow{}, err
+	}
+	return SimRow{
+		Benchmark: name,
+		Estimated: res.Report.Speedup,
+		Simulated: simRes.Speedup,
+		RelErr:    eval.RelativeError(res.Report.Speedup, simRes.Speedup),
+	}, nil
+}
+
 // EnergyRow is the code-size / energy table (Section 6 future work).
 type EnergyRow struct {
 	Benchmark     string
@@ -523,11 +549,12 @@ func EnergyCodeSize(o Options) ([]EnergyRow, error) {
 	inner.Workers = 1 // benchmark cells already saturate the pool
 	_ = o.runner().ForEachContext(context.Background(), len(specs), func(i int) {
 		spec := specs[i]
-		rep, err := generateWithReuse(spec.App, inner, nil)
+		res, err := isegen.GenerateContext(context.Background(), spec.App, inner.isegenConfig(), nil)
 		if err != nil {
 			errs[i] = err
 			return
 		}
+		rep := res.Report
 		rows[i] = EnergyRow{
 			Benchmark:     spec.Name,
 			Speedup:       rep.Speedup,

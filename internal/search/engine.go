@@ -174,24 +174,9 @@ type ExactJoint struct {
 // Name implements Engine.
 func (e *ExactJoint) Name() string { return "Exact" }
 
-// RunContext implements Engine. The exact search optimizes merit
-// internally, so objectives with a custom scorer are rejected rather than
-// ignored. Cancellation aborts the branch-and-bound mid-block, and
-// lim.SubtreeWorkers > 1 runs it on the in-block subtree pool with
-// bit-identical results.
+// RunContext implements Engine with the joint exact search (see runExact).
 func (e *ExactJoint) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
-	start := time.Now()
-	opt, err := exactOptions(e.Name(), obj, lim, e.Cache)
-	if err != nil {
-		return nil, Stats{Engine: e.Name()}, err
-	}
-	ctx, sp := obs.StartSpan(ctx, obs.KindEngine, e.Name())
-	defer sp.End()
-	var explored int64
-	opt.Explored = &explored
-	cuts, err := exact.MultiCutContext(ctx, blk, opt, lim.NISE)
-	return cuts, Stats{Engine: e.Name(), Cuts: len(cuts), Duration: time.Since(start),
-		Explored: explored, Optimal: err == nil}, err
+	return runExact(ctx, e.Name(), exact.MultiCutContext, blk, obj, lim, e.Cache)
 }
 
 // ExactIterative is the paper's "Iterative" baseline: the exact best
@@ -203,23 +188,31 @@ type ExactIterative struct {
 // Name implements Engine.
 func (e *ExactIterative) Name() string { return "Iterative" }
 
-// RunContext implements Engine. The exact search optimizes merit
+// RunContext implements Engine with the iterated single-cut exact search
+// (see runExact).
+func (e *ExactIterative) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
+	return runExact(ctx, e.Name(), exact.IterativeContext, blk, obj, lim, e.Cache)
+}
+
+// runExact is both exact engines' RunContext body; solve is the exact
+// search (joint or iterative). The exact search optimizes merit
 // internally, so objectives with a custom scorer are rejected rather than
 // ignored. Cancellation aborts the branch-and-bound mid-block, and
 // lim.SubtreeWorkers > 1 runs it on the in-block subtree pool with
 // bit-identical results.
-func (e *ExactIterative) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
+func runExact(ctx context.Context, name string, solve func(context.Context, *ir.Block, exact.Options, int) ([]*core.Cut, error),
+	blk *ir.Block, obj *Objective, lim *Limits, cache *CostCache) ([]*core.Cut, Stats, error) {
 	start := time.Now()
-	opt, err := exactOptions(e.Name(), obj, lim, e.Cache)
+	opt, err := exactOptions(name, obj, lim, cache)
 	if err != nil {
-		return nil, Stats{Engine: e.Name()}, err
+		return nil, Stats{Engine: name}, err
 	}
-	ctx, sp := obs.StartSpan(ctx, obs.KindEngine, e.Name())
+	ctx, sp := obs.StartSpan(ctx, obs.KindEngine, name)
 	defer sp.End()
 	var explored int64
 	opt.Explored = &explored
-	cuts, err := exact.IterativeContext(ctx, blk, opt, lim.NISE)
-	return cuts, Stats{Engine: e.Name(), Cuts: len(cuts), Duration: time.Since(start),
+	cuts, err := solve(ctx, blk, opt, lim.NISE)
+	return cuts, Stats{Engine: name, Cuts: len(cuts), Duration: time.Since(start),
 		Explored: explored, Optimal: err == nil}, err
 }
 

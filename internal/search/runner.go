@@ -109,27 +109,16 @@ func parallelFor(ctx context.Context, w, n int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// candidates runs the engine's restart trajectories — in parallel when
-// w > 1 — and finalizes the merged snapshot pool. Snapshots are merged in
-// seed order, which is exactly the order the sequential Candidates path
-// produces, so the result is identical for every worker count. Each
+// candidates runs the engine's restart trajectories on up to w workers
+// (parallelFor degenerates to a plain loop for one worker or one seed)
+// and finalizes the merged snapshot pool. Snapshots are merged in seed
+// order, so the result is identical for every worker count. Each
 // trajectory polls the context inside its K-L loop (TrajectoryContext),
 // so cancellation aborts mid-block — a 696-node AES bi-partition stops
 // within a few toggle steps, not at the next work-item boundary. On
 // cancellation it returns nil and the context's error.
 func candidates(ctx context.Context, eng *core.Engine, w int) ([]*core.Cut, error) {
 	seeds := eng.Seeds()
-	if workers(w) <= 1 || len(seeds) <= 1 {
-		var snaps []core.Candidate
-		for _, seed := range seeds {
-			ts, err := eng.TrajectoryContext(ctx, seed)
-			if err != nil {
-				return nil, err
-			}
-			snaps = append(snaps, ts...)
-		}
-		return eng.Finalize(snaps), nil
-	}
 	perSeed := make([][]core.Candidate, len(seeds))
 	err := parallelFor(ctx, workers(w), len(seeds), func(i int) {
 		// A cancelled trajectory's error surfaces through parallelFor's
