@@ -3,6 +3,7 @@ package exact
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -10,136 +11,165 @@ import (
 	"repro/internal/obs"
 )
 
-// cutSlot is the per-cut bookkeeping of the joint multi-cut search. The
-// invariants match singleCutSearch, maintained independently per cut.
-type cutSlot struct {
-	cut     *graph.BitSet
-	blocked *graph.BitSet
-	pending *graph.BitSet
-	inputs  *graph.BitSet
-	inCnt   int
-	outCnt  int
-	swSum   int
-	hwCP    float64
-	tail    []float64
+// MaxJointNodes is the largest block the joint search accepts, whatever
+// Options.NodeLimit says: every node set of its state is one machine word.
+// The paper's joint search handled ~25 nodes.
+const MaxJointNodes = 64
+
+// CheckJointSize refuses, with ErrTooLarge, a block over nodeLimit (0 = no
+// limit) or over MaxJointNodes. MultiCutContext applies it up front; the
+// racing engine calls it before spawning its heuristic racers.
+func CheckJointSize(blk *ir.Block, nodeLimit int) error {
+	if n := blk.N(); n > MaxJointNodes {
+		return fmt.Errorf("%w: %d nodes > joint-search cap %d", ErrTooLarge, n, MaxJointNodes)
+	} else if nodeLimit > 0 && n > nodeLimit {
+		return fmt.Errorf("%w: %d nodes > limit %d", ErrTooLarge, n, nodeLimit)
+	}
+	return nil
 }
 
-// slotSave is one slot's rollback record for a decision at one depth.
-type slotSave struct {
-	wasPending   bool
-	blockedSaved bool
-}
-
-// multiScratch is the per-depth scratch of the joint search: the rollback
-// records and blocked-set snapshots for every slot. One slot per depth is
-// enough (at most one frame is active per depth per worker), and reusing
-// it removes the former per-branch Clone and save-list allocations.
-type multiScratch struct {
-	saves   []slotSave
-	blocked []*graph.BitSet // lazily allocated snapshots
-}
-
-type multiCutSearch struct {
-	opt      Options
-	blk      *ir.Block
-	dag      *graph.DAG
-	order    []int
-	frozen   *graph.BitSet
+// jointTables is the per-block preprocessing of the joint search, one
+// word per node set (bit v = node v). It is immutable after construction
+// and shared read-only by every subtree worker.
+type jointTables struct {
+	order    []int // reverse topological order
 	swLat    []int
 	hwLat    []float64
-	suffixSW []int
-	nise     int
-	searchCtl
+	suffixSW []int // suffixSW[i] = Σ software latency of non-frozen order[i:]
 
-	slots []*cutSlot
-	used  int // number of non-empty cuts so far (symmetry breaking)
-	// tot is the summed merit of all slots, maintained incrementally on
-	// include/rollback instead of recomputed per search node. Merits are
-	// integer-valued floats (core.MeritOf), so the incremental sum is
-	// exact and bit-identical to a recompute.
-	tot     float64
-	best    []*graph.BitSet
-	bestTot float64
+	desc, anc []uint64 // transitive successors / predecessors of node v
+	uses      []uint64 // consumer nodes of value v (node or external input)
+	srcs      []uint64 // node sources of node v
+	succs     []uint64 // direct DAG successors of node v
+	extSrcs   [][]int  // external-input value IDs read by node v
 
-	scratch    []multiScratch
-	inputsBuf  [][]int
-	pendingBuf [][]int
+	liveOut, hasValue, frozen uint64
 }
 
-// newMultiCutSearch builds the immutable preprocessing and one mutable
-// search state.
-func newMultiCutSearch(blk *ir.Block, opt Options, nise int, sh *sharedBound) *multiCutSearch {
+func newJointTables(blk *ir.Block, opt *Options) *jointTables {
 	n := blk.N()
-	s := &multiCutSearch{
-		opt:       opt,
-		blk:       blk,
-		dag:       blk.DAG(),
-		frozen:    graph.NewBitSet(n),
-		swLat:     make([]int, n),
-		hwLat:     make([]float64, n),
-		nise:      nise,
-		searchCtl: searchCtl{sh: sh},
+	dag := blk.DAG()
+	t := &jointTables{
+		order:    make([]int, n),
+		swLat:    make([]int, n),
+		hwLat:    make([]float64, n),
+		suffixSW: make([]int, n+1),
+		desc:     make([]uint64, n),
+		anc:      make([]uint64, n),
+		uses:     make([]uint64, blk.NumValues()),
+		srcs:     make([]uint64, n),
+		succs:    make([]uint64, n),
+		extSrcs:  make([][]int, n),
 	}
 	for v := 0; v < n; v++ {
 		op := blk.Nodes[v].Op
-		s.swLat[v] = opt.Model.SWLat(op)
+		t.swLat[v] = opt.Model.SWLat(op)
 		if d, ok := opt.Model.HWLat(op); ok {
-			s.hwLat[v] = d
+			t.hwLat[v] = d
 		} else {
-			s.frozen.Set(v)
+			t.frozen |= 1 << v
 		}
 		if blk.ForbiddenInCut(v) {
-			s.frozen.Set(v)
+			t.frozen |= 1 << v
+		}
+		if blk.LiveOut.Has(v) {
+			t.liveOut |= 1 << v
+		}
+		if op.HasValue() {
+			t.hasValue |= 1 << v
+		}
+		t.desc[v] = word(dag.Desc(v))
+		t.anc[v] = word(dag.Anc(v))
+		for _, u := range dag.Succs(v) {
+			t.succs[v] |= 1 << u
+		}
+		for _, src := range blk.Srcs(v) {
+			if src < n {
+				t.srcs[v] |= 1 << src
+			} else {
+				t.extSrcs[v] = append(t.extSrcs[v], src)
+			}
 		}
 	}
-	topo := s.dag.Topo()
-	s.order = make([]int, n)
-	for i, v := range topo {
-		s.order[n-1-i] = v
+	for x := range t.uses {
+		for _, u := range blk.Uses(x) {
+			t.uses[x] |= 1 << u
+		}
 	}
-	s.suffixSW = make([]int, n+1)
+	for i, v := range dag.Topo() {
+		t.order[n-1-i] = v
+	}
 	for i := n - 1; i >= 0; i-- {
-		s.suffixSW[i] = s.suffixSW[i+1]
-		if !s.frozen.Has(s.order[i]) {
-			s.suffixSW[i] += s.swLat[s.order[i]]
+		t.suffixSW[i] = t.suffixSW[i+1]
+		if v := t.order[i]; t.frozen&(1<<v) == 0 {
+			t.suffixSW[i] += t.swLat[v]
 		}
 	}
-	s.initMutable()
+	return t
+}
+
+// word returns a set over at most 64 elements as one word.
+func word(b *graph.BitSet) uint64 {
+	if w := b.Words(); len(w) > 0 {
+		return w[0]
+	}
+	return 0
+}
+
+// slot is one cut of the joint search. The invariants match
+// singleCutSearch's, maintained independently per cut: pending holds the
+// nodes whose value the cut consumes while their own decision is still
+// open; blocked the nodes that may no longer join (convexity). The cut's
+// external inputs are not stored: input x is in the cut's input set
+// exactly when uses[x]&cut != 0, which works for any input count.
+type slot struct {
+	cut, blocked, pending uint64
+	inCnt, outCnt, swSum  int
+	hwCP                  float64
+}
+
+// multiCutSearch is one worker's joint search over the shared tables.
+type multiCutSearch struct {
+	*jointTables
+	maxIn, maxOut int
+	searchCtl
+
+	slots []slot
+	// tails[k][v] is the HW path from v downward within slot k's cut. It
+	// is read only for cut nodes and written when a node joins, so
+	// rollback need not restore it; keeping it out of slot leaves slot
+	// pointer-free, which makes the snapshot copies plain memmoves.
+	tails [][]float64
+	// snap[i] is the slot array as search(i) entered it: every decision
+	// at depth i rolls back with one copy.
+	snap [][]slot
+	used int // number of non-empty cuts so far (symmetry breaking)
+	// tot is the summed merit (core.MeritOf) of all slots, maintained
+	// incrementally. Merits are integer-valued floats, so the sum is
+	// exact and bit-identical to a recompute.
+	tot     float64
+	best    []uint64
+	bestTot float64
+}
+
+// newWorker allocates one worker's private search state.
+func newWorker(t *jointTables, opt *Options, nise int, sh *sharedBound) *multiCutSearch {
+	n := len(t.order)
+	s := &multiCutSearch{
+		jointTables: t, maxIn: opt.MaxIn, maxOut: opt.MaxOut,
+		searchCtl: searchCtl{sh: sh},
+		slots:     make([]slot, nise),
+		tails:     make([][]float64, nise),
+		snap:      make([][]slot, n),
+		best:      make([]uint64, nise),
+	}
+	for k := range s.tails {
+		s.tails[k] = make([]float64, n)
+	}
+	for i := range s.snap {
+		s.snap[i] = make([]slot, nise)
+	}
 	return s
-}
-
-// initMutable allocates the worker-private search state.
-func (s *multiCutSearch) initMutable() {
-	n := s.blk.N()
-	for k := 0; k < s.nise; k++ {
-		s.slots = append(s.slots, &cutSlot{
-			cut:     graph.NewBitSet(n),
-			blocked: graph.NewBitSet(n),
-			pending: graph.NewBitSet(n),
-			inputs:  graph.NewBitSet(s.blk.NumValues()),
-			tail:    make([]float64, n),
-		})
-		s.best = append(s.best, graph.NewBitSet(n))
-	}
-	s.scratch = make([]multiScratch, n)
-	for i := range s.scratch {
-		s.scratch[i].saves = make([]slotSave, s.nise)
-		s.scratch[i].blocked = make([]*graph.BitSet, s.nise)
-	}
-	s.inputsBuf = make([][]int, n)
-	s.pendingBuf = make([][]int, n)
-}
-
-// fork returns a search sharing s's immutable preprocessing (and shared
-// bound) with fresh private mutable state — one per subtree worker.
-func (s *multiCutSearch) fork() *multiCutSearch {
-	w := &multiCutSearch{
-		opt: s.opt, blk: s.blk, dag: s.dag, order: s.order,
-		frozen: s.frozen, swLat: s.swLat, hwLat: s.hwLat,
-		suffixSW: s.suffixSW, nise: s.nise, searchCtl: searchCtl{sh: s.sh},
-	}
-	w.initMutable()
-	return w
 }
 
 // MultiCutContext implements the paper's "Exact" baseline: the joint
@@ -147,8 +177,9 @@ func (s *multiCutSearch) fork() *multiCutSearch {
 // cuts, maximizing the summed merit. It is exponential in nodes × cuts and
 // is only practical for small blocks; callers should set
 // Options.NodeLimit (the paper's exact approach handled blocks of up to
-// ~25 nodes). The joint search honors cancellation mid-block (checked
-// every few thousand explored nodes) and returns ctx.Err().
+// ~25 nodes). Blocks over MaxJointNodes are refused with ErrTooLarge
+// whatever the limit. The joint search honors cancellation mid-block
+// (checked every few thousand explored nodes) and returns ctx.Err().
 func MultiCutContext(ctx context.Context, blk *ir.Block, opt Options, nise int) ([]*core.Cut, error) {
 	if nise < 1 {
 		return nil, fmt.Errorf("exact: nise = %d, must be at least 1", nise)
@@ -156,12 +187,15 @@ func MultiCutContext(ctx context.Context, blk *ir.Block, opt Options, nise int) 
 	if err := checkOptions(&opt, blk); err != nil {
 		return nil, err
 	}
+	if err := CheckJointSize(blk, 0); err != nil {
+		return nil, err
+	}
 	ctx, sp := obs.StartSpan(ctx, obs.KindSearch, "multi-cut")
 	defer sp.End()
 	sh := newSharedBound(ctx, opt.Budget, opt.Bound)
 	sh.bound.Raise(opt.SeedBound)
-	s := newMultiCutSearch(blk, opt, nise, sh)
-	best, err := s.run()
+	s := newWorker(newJointTables(blk, &opt), &opt, nise, sh)
+	best, err := s.run(&opt)
 	sh.obsFlush(ctx)
 	if opt.Explored != nil {
 		*opt.Explored += sh.explored.Load()
@@ -170,13 +204,17 @@ func MultiCutContext(ctx context.Context, blk *ir.Block, opt Options, nise int) 
 		return nil, err
 	}
 	var cuts []*core.Cut
-	for _, b := range best {
-		if b == nil || b.Empty() {
+	for _, w := range best {
+		if w == 0 {
 			continue
+		}
+		b := graph.NewBitSet(blk.N())
+		for ; w != 0; w &= w - 1 {
+			b.Set(bits.TrailingZeros64(w))
 		}
 		m := opt.metricsOf()(blk, opt.Model, b)
 		cuts = append(cuts, &core.Cut{
-			Block: blk, Nodes: b.Clone(),
+			Block: blk, Nodes: b,
 			NumIn: m.NumIn, NumOut: m.NumOut, SWLat: m.SWLat, HWLat: m.HWLat,
 		})
 	}
@@ -185,10 +223,11 @@ func MultiCutContext(ctx context.Context, blk *ir.Block, opt Options, nise int) 
 
 // run drives the joint search: single-threaded, or split + fan-out +
 // deterministic merge (see singleCutSearch.run; the same three phases).
-func (s *multiCutSearch) run() ([]*graph.BitSet, error) {
+func (s *multiCutSearch) run(opt *Options) ([]uint64, error) {
 	n := len(s.order)
-	w := s.opt.workersOf()
-	d := splitDepthFor(s.opt.SplitDepth, w, n, s.nise+1)
+	nise := len(s.slots)
+	w := opt.workersOf()
+	d := splitDepthFor(opt.SplitDepth, w, n, nise+1)
 	if w <= 1 || d < 1 || n < 4 {
 		s.search(0)
 		s.flush()
@@ -213,22 +252,18 @@ func (s *multiCutSearch) run() ([]*graph.BitSet, error) {
 
 	type result struct {
 		tot   float64
-		nodes []*graph.BitSet
+		nodes []uint64
 	}
 	results := make([]result, len(tasks))
 	runSubtrees(s.sh, w, len(tasks), func() func(ti int) {
-		ws := s.fork()
+		ws := newWorker(s.jointTables, opt, nise, s.sh)
 		return func(ti int) {
 			ws.path = tasks[ti]
 			ws.bestTot = 0
 			ws.search(0)
 			ws.flush()
 			if !ws.stopped && ws.bestTot > 0 {
-				nodes := make([]*graph.BitSet, len(ws.best))
-				for k, b := range ws.best {
-					nodes[k] = b.Clone()
-				}
-				results[ti] = result{tot: ws.bestTot, nodes: nodes}
+				results[ti] = result{tot: ws.bestTot, nodes: append([]uint64(nil), ws.best...)}
 			}
 		}
 	})
@@ -236,7 +271,7 @@ func (s *multiCutSearch) run() ([]*graph.BitSet, error) {
 		return nil, err
 	}
 
-	var best []*graph.BitSet
+	var best []uint64
 	bestTot := 0.0
 	for _, r := range results {
 		if r.nodes != nil && r.tot > bestTot {
@@ -253,6 +288,7 @@ func (s *multiCutSearch) search(i int) {
 	if i < len(s.path) {
 		// Replay the subtree task's decision prefix (byte 0 = exclude,
 		// byte k+1 = include in slot k).
+		copy(s.snap[i], s.slots)
 		v := s.order[i]
 		if b := s.path[i]; b == 0 {
 			s.exclude(i, v)
@@ -278,20 +314,18 @@ func (s *multiCutSearch) search(i int) {
 	if i == len(s.order) {
 		if cur > s.bestTot {
 			s.bestTot = cur
-			for k, sl := range s.slots {
-				s.best[k].CopyFrom(sl.cut)
+			for k := range s.slots {
+				s.best[k] = s.slots[k].cut
 			}
 			s.sh.raise(cur)
 		}
 		return
 	}
+	copy(s.snap[i], s.slots)
 	v := s.order[i]
-	if !s.frozen.Has(v) {
+	if s.frozen&(1<<v) == 0 {
 		// Symmetry breaking: only the first empty slot may be opened.
-		lim := s.used
-		if lim >= len(s.slots) {
-			lim = len(s.slots) - 1
-		}
+		lim := min(s.used, len(s.slots)-1)
 		for k := 0; k <= lim; k++ {
 			s.include(i, v, k)
 		}
@@ -299,221 +333,112 @@ func (s *multiCutSearch) search(i int) {
 	s.exclude(i, v)
 }
 
-// slotMerit is one slot's current merit contribution (0 for an empty slot:
-// MeritOf(0, 0) == 0).
-func slotMerit(sl *cutSlot) float64 {
-	return core.MeritOf(sl.swSum, sl.hwCP)
-}
-
 // include tries assigning v to slot k; other slots see v as excluded.
 func (s *multiCutSearch) include(i, v, k int) {
-	sl := s.slots[k]
-	if sl.blocked.Has(v) {
+	bit := uint64(1) << v
+	sl := &s.slots[k]
+	if sl.blocked&bit != 0 {
 		return
 	}
-	blk := s.blk
-	n := blk.N()
-
-	isOut := blk.LiveOut.Has(v)
-	if !isOut {
-		for _, u := range blk.Uses(v) {
-			if !sl.cut.Has(u) {
-				isOut = true
-				break
-			}
+	// v's consumers are all decided (reverse topological order), so its
+	// output status is final.
+	isOut := s.hasValue&bit != 0 && (s.liveOut&bit != 0 || s.uses[v]&^sl.cut != 0)
+	if isOut && sl.outCnt+1 > s.maxOut {
+		return
+	}
+	newIn := 0
+	for _, x := range s.extSrcs[v] {
+		if s.uses[x]&sl.cut == 0 {
+			newIn++
 		}
 	}
-	if blk.Nodes[v].Op.HasValue() && isOut && sl.outCnt+1 > s.opt.MaxOut {
+	if sl.inCnt+newIn > s.maxIn {
 		return
 	}
-	newInputs := s.inputsBuf[i][:0]
-	for _, src := range blk.Srcs(v) {
-		if src >= n && !sl.inputs.Has(src) {
-			newInputs = append(newInputs, src)
-		}
-	}
-	s.inputsBuf[i] = newInputs
-	if sl.inCnt+len(newInputs) > s.opt.MaxIn {
-		return
-	}
-	// For every OTHER slot, v is an outside node: a pending use there
-	// becomes a permanent input. Pure feasibility pre-check — nothing is
-	// committed yet.
-	for j, osl := range s.slots {
-		if j != k && osl.pending.Has(v) && osl.inCnt+1 > s.opt.MaxIn {
+	// For every other slot v is an outside node: a pending use there
+	// becomes a permanent input. Pure feasibility pre-check.
+	for j := range s.slots {
+		if j != k && s.slots[j].pending&bit != 0 && s.slots[j].inCnt+1 > s.maxIn {
 			return
 		}
 	}
 
-	wasEmpty := sl.cut.Empty()
-	wasPending := sl.pending.Has(v)
-
-	// Commit slot k, tracking its merit delta incrementally.
-	oldMerit := slotMerit(sl)
-	sl.cut.Set(v)
-	sl.swSum += s.swLat[v]
-	outAdded := 0
-	if blk.Nodes[v].Op.HasValue() && isOut {
-		sl.outCnt++
-		outAdded = 1
-	}
-	for _, src := range newInputs {
-		sl.inputs.Set(src)
-	}
-	sl.inCnt += len(newInputs)
-	pendingAdded := s.pendingBuf[i][:0]
-	for _, src := range blk.Srcs(v) {
-		if src < n && !sl.pending.Has(src) && !sl.cut.Has(src) {
-			sl.pending.Set(src)
-			pendingAdded = append(pendingAdded, src)
-		}
-	}
-	s.pendingBuf[i] = pendingAdded
-	if wasPending {
-		sl.pending.Clear(v)
-	}
-	down := 0.0
-	for _, u := range s.dag.Succs(v) {
-		if sl.cut.Has(u) && sl.tail[u] > down {
-			down = sl.tail[u]
-		}
-	}
-	sl.tail[v] = s.hwLat[v] + down
-	oldCP := sl.hwCP
-	if sl.tail[v] > sl.hwCP {
-		sl.hwCP = sl.tail[v]
-	}
-	if wasEmpty {
+	tot, used := s.tot, s.used
+	if sl.cut == 0 {
 		s.used++
 	}
-	meritDelta := slotMerit(sl) - oldMerit
-	s.tot += meritDelta
-
-	// Commit other slots (v acts as excluded there); the per-depth
-	// scratch replaces the former save-list and Clone allocations.
-	sc := &s.scratch[i]
-	for j, osl := range s.slots {
-		sv := &sc.saves[j]
-		sv.wasPending, sv.blockedSaved = false, false
-		if j == k {
-			continue
-		}
-		sv.wasPending = osl.pending.Has(v)
-		if osl.cut.Intersects(s.dag.Desc(v)) || sv.wasPending {
-			anc := s.dag.Anc(v)
-			if !anc.SubsetOf(osl.blocked) {
-				sv.blockedSaved = true
-				s.saveSlotBlocked(sc, j, osl)
-				osl.blocked.Or(anc)
-			}
-		}
-		if sv.wasPending {
-			osl.pending.Clear(v)
-			osl.inputs.Set(v)
-			osl.inCnt++
+	sl.cut |= bit
+	sl.swSum += s.swLat[v]
+	if isOut {
+		sl.outCnt++
+	}
+	sl.inCnt += newIn
+	sl.pending = (sl.pending | s.srcs[v]&^sl.cut) &^ bit
+	// The slot's merit core.MeritOf(swSum, hwCP) grows by v's software
+	// latency less the HW cycles its critical path gains.
+	delta := float64(s.swLat[v])
+	tail := s.tails[k]
+	down := 0.0
+	for m := s.succs[v] & sl.cut; m != 0; m &= m - 1 {
+		if t := tail[bits.TrailingZeros64(m)]; t > down {
+			down = t
 		}
 	}
-
-	if s.collect != nil {
-		s.trace = append(s.trace, byte(k+1))
+	tail[v] = s.hwLat[v] + down
+	if tail[v] > sl.hwCP {
+		delta -= float64(core.HWCycles(tail[v]) - core.HWCycles(sl.hwCP))
+		sl.hwCP = tail[v]
 	}
-	s.search(i + 1)
-	if s.collect != nil {
-		s.trace = s.trace[:len(s.trace)-1]
-	}
-
-	// Rollback others.
-	for j, osl := range s.slots {
-		if j == k {
-			continue
-		}
-		sv := &sc.saves[j]
-		if sv.wasPending {
-			osl.inCnt--
-			osl.inputs.Clear(v)
-			osl.pending.Set(v)
-		}
-		if sv.blockedSaved {
-			osl.blocked.CopyFrom(sc.blocked[j])
+	s.tot += delta
+	for j := range s.slots {
+		if j != k {
+			s.leave(&s.slots[j], v, bit)
 		}
 	}
-	// Rollback slot k.
-	s.tot -= meritDelta
-	if wasEmpty {
-		s.used--
-	}
-	sl.hwCP = oldCP
-	sl.tail[v] = 0
-	if wasPending {
-		sl.pending.Set(v)
-	}
-	for _, src := range pendingAdded {
-		sl.pending.Clear(src)
-	}
-	sl.inCnt -= len(newInputs)
-	for _, src := range newInputs {
-		sl.inputs.Clear(src)
-	}
-	sl.outCnt -= outAdded
-	sl.swSum -= s.swLat[v]
-	sl.cut.Clear(v)
-}
-
-// saveSlotBlocked snapshots slot j's blocked set into depth scratch sc.
-func (s *multiCutSearch) saveSlotBlocked(sc *multiScratch, j int, sl *cutSlot) {
-	if sc.blocked[j] == nil {
-		sc.blocked[j] = graph.NewBitSet(s.blk.N())
-	}
-	sc.blocked[j].CopyFrom(sl.blocked)
+	s.descend(i, byte(k+1))
+	s.tot, s.used = tot, used
 }
 
 // exclude leaves v in software for every slot. Excluding changes no slot's
 // swSum or hwCP, so the incremental total merit is untouched.
 func (s *multiCutSearch) exclude(i, v int) {
-	// Pure feasibility pre-check before any commit: a pending use of v
-	// becomes a permanent input in its slot.
-	for _, sl := range s.slots {
-		if sl.pending.Has(v) && sl.inCnt+1 > s.opt.MaxIn {
+	bit := uint64(1) << v
+	// Pure feasibility pre-check: a pending use of v becomes a permanent
+	// input in its slot.
+	for k := range s.slots {
+		if s.slots[k].pending&bit != 0 && s.slots[k].inCnt+1 > s.maxIn {
 			return
 		}
 	}
-	sc := &s.scratch[i]
-	for j, sl := range s.slots {
-		sv := &sc.saves[j]
-		sv.wasPending = sl.pending.Has(v)
-		sv.blockedSaved = false
-		if sl.cut.Intersects(s.dag.Desc(v)) || sv.wasPending {
-			anc := s.dag.Anc(v)
-			if !anc.SubsetOf(sl.blocked) {
-				sv.blockedSaved = true
-				s.saveSlotBlocked(sc, j, sl)
-				sl.blocked.Or(anc)
-			}
-		}
-		if sv.wasPending {
-			sl.pending.Clear(v)
-			sl.inputs.Set(v)
-			sl.inCnt++
-		}
+	for k := range s.slots {
+		s.leave(&s.slots[k], v, bit)
 	}
+	s.descend(i, 0)
+}
 
+// leave commits v as an outside node of sl. With a descendant in the cut
+// (a pending use implies one) every ancestor of v must stay outside, or
+// the cut becomes non-convex; a pending use becomes a permanent input.
+func (s *multiCutSearch) leave(sl *slot, v int, bit uint64) {
+	wasPending := sl.pending&bit != 0
+	if wasPending || sl.cut&s.desc[v] != 0 {
+		sl.blocked |= s.anc[v]
+	}
+	if wasPending {
+		sl.pending &^= bit
+		sl.inCnt++
+	}
+}
+
+// descend explores depth i+1 under the committed decision b (the replay
+// byte) and rolls every slot back to its state on entering depth i.
+func (s *multiCutSearch) descend(i int, b byte) {
 	if s.collect != nil {
-		s.trace = append(s.trace, 0)
+		s.trace = append(s.trace, b)
 	}
 	s.search(i + 1)
 	if s.collect != nil {
 		s.trace = s.trace[:len(s.trace)-1]
 	}
-
-	for j, sl := range s.slots {
-		sv := &sc.saves[j]
-		if sv.wasPending {
-			sl.inCnt--
-			sl.inputs.Clear(v)
-			sl.pending.Set(v)
-		}
-		if sv.blockedSaved {
-			sl.blocked.CopyFrom(sc.blocked[j])
-		}
-	}
+	copy(s.slots, s.snap[i])
 }

@@ -10,6 +10,14 @@
 //   - MultiCutContext: exact joint assignment of nodes to NISE cuts — the
 //     paper's "Exact", practical only for small blocks.
 //
+// The joint search keeps every node set of its state (each cut, its
+// convexity-blocked and pending nodes, and the per-node descendant,
+// ancestor, use and source masks) in one uint64, and rolls a decision
+// back by copying a per-depth snapshot of its slot array. It therefore
+// refuses blocks over MaxJointNodes (64) with ErrTooLarge, whatever the
+// node limit; the paper's joint search handled ~25 nodes. The single-cut
+// searches use graph.BitSet and take blocks of any size.
+//
 // All entry points refuse blocks beyond a configurable node limit and
 // abort when a search-node budget is exhausted, mirroring the paper's
 // observation that the exact approaches fail on large basic blocks such as

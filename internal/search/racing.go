@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -130,11 +129,11 @@ func (e *Racing) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, 
 	if err != nil {
 		return nil, stats, err
 	}
-	// Fail oversized blocks before spawning the heuristic racers,
-	// mirroring the exact package's up-front check, so no heuristic work
-	// is wasted on a block the proving side refuses anyway.
-	if lim.NodeLimit > 0 && blk.N() > lim.NodeLimit {
-		return nil, stats, fmt.Errorf("%w: %d nodes > limit %d", exact.ErrTooLarge, blk.N(), lim.NodeLimit)
+	// Fail oversized blocks (over the node limit or the joint search's
+	// MaxJointNodes cap) before spawning the heuristic racers, so no
+	// heuristic work is wasted on a block the proving side refuses anyway.
+	if err := exact.CheckJointSize(blk, lim.NodeLimit); err != nil {
+		return nil, stats, err
 	}
 	ctx, sp := obs.StartSpan(ctx, obs.KindEngine, e.Name())
 	defer sp.End()

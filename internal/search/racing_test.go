@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exact"
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/latency"
@@ -346,6 +347,44 @@ func TestRacingRejectsOversized(t *testing.T) {
 	lim := &Limits{MaxIn: 4, MaxOut: 2, NISE: 4, NodeLimit: 25}
 	if _, _, err := racer.RunContext(context.Background(), blk, Merit(latency.Default()), lim); err == nil {
 		t.Fatal("oversized block accepted")
+	}
+}
+
+// TestRacingRejectsOverJointCap: a block over exact.MaxJointNodes is
+// refused with ErrTooLarge even with no node limit, before the K-L and
+// genetic racers start: the recorder sees no Genetic span and no genetic
+// or K-L counter. A small control block shows the recorder is live.
+func TestRacingRejectsOverJointCap(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	lim := &Limits{MaxIn: 4, MaxOut: 2, NISE: 4}
+	run := func(n int) (map[string]int, obs.CounterSnapshot, error) {
+		rec := obs.NewRecorder(-1)
+		ctx := obs.WithRecorder(context.Background(), rec)
+		_, _, err := (&Racing{}).RunContext(ctx, racingRandBlock(rng, n), Merit(latency.Default()), lim)
+		spans := map[string]int{}
+		for _, sp := range rec.Spans() {
+			spans[sp.Name]++
+		}
+		return spans, rec.Counters(), err
+	}
+	spans, _, err := run(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spans["Racing"] == 0 {
+		t.Fatalf("control run recorded no Racing span: %v", spans)
+	}
+	spans, cs, err := run(exact.MaxJointNodes + 1)
+	if !errors.Is(err, exact.ErrTooLarge) {
+		t.Fatalf("%d-node block: err = %v, want ErrTooLarge", exact.MaxJointNodes+1, err)
+	}
+	if spans["Genetic"] != 0 {
+		t.Fatalf("refused block started the genetic racer: spans %v", spans)
+	}
+	for _, c := range obs.AllCounters() {
+		if name := c.String(); cs.Get(c) != 0 && (strings.HasPrefix(name, "genetic_") || strings.HasPrefix(name, "kl_")) {
+			t.Fatalf("refused block moved counter %s to %d", name, cs.Get(c))
+		}
 	}
 }
 

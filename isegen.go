@@ -448,7 +448,8 @@ func ExactIterativeContext(ctx context.Context, blk *Block, opt ExactOptions, ni
 }
 
 // ExactMultiCut finds the jointly optimal assignment into nise cuts (the
-// paper's "Exact" baseline; tiny blocks only).
+// paper's "Exact" baseline; tiny blocks only: a block over 64 nodes is
+// refused as too large whatever ExactOptions.NodeLimit says).
 func ExactMultiCut(blk *Block, opt ExactOptions, nise int) ([]*Cut, error) {
 	return ExactMultiCutContext(context.Background(), blk, opt, nise)
 }
