@@ -12,7 +12,8 @@ import (
 // up to runtime noise (GC bookkeeping, timer internals) — a small epsilon
 // absorbs that while still failing any real regression by orders of
 // magnitude. Parallel suites additionally see pool hits and goroutine
-// spawns vary with scheduling and CPU count, so they get a wider band.
+// spawns vary with scheduling and CPU count, so they get a wider band, and
+// so do racingSuites, whose racers always run on their own goroutines.
 const (
 	seqAllocSlackPct = 2
 	seqAllocSlackAbs = 64
@@ -35,6 +36,69 @@ var workCounters = []string{
 	"kl_toggles", "kl_probes", "kl_cp_full_sweeps", "kl_gain_rebuilds",
 	"kl_gaincache_misses", "kl_pool_misses", "exact_explored",
 	"exact_subtree_tasks", "genetic_evaluations",
+}
+
+// pinnedCounters names the suites whose exact_explored is deterministic:
+// a sequential exact search explores the same tree on every machine and
+// run, so any growth past the baseline means the search lost pruning
+// (a looser bound, say) and fails the gate. Parallel and racing suites
+// depend on scheduling and stay warn-only through counterDeltas.
+var pinnedCounters = map[string]bool{
+	"figure4/exact/seq":     true,
+	"figure4/iterative/seq": true,
+}
+
+// pinnedGrowth reports a pinned suite's exact_explored growth past the
+// baseline, or "" when there is none. A pinned suite without the counter
+// on either side fails too, so a dropped counter cannot switch the check
+// off.
+func pinnedGrowth(name string, base, fresh map[string]int64) string {
+	if !pinnedCounters[name] {
+		return ""
+	}
+	b, okB := base["exact_explored"]
+	f, okF := fresh["exact_explored"]
+	switch {
+	case !okB || !okF:
+		return "  exact_explored missing (pinned; both files must carry it)"
+	case f > b:
+		return fmt.Sprintf("  exact_explored grew: %d -> %d (deterministic; must not exceed baseline)", b, f)
+	}
+	return ""
+}
+
+// racingSuites names the suites that run the racing engine. Their
+// allocs/op depend on timing: the exact proof cancels the K-L and genetic
+// racers when it lands, at a point set by the scheduler, and the racers'
+// allocations (a few per genetic evaluation or K-L toggle) make up most of
+// what the run allocates on top of the proof. allocBase scales their
+// baseline by how far the racers got.
+var racingSuites = map[string]bool{
+	"figure4/racing/seq": true,
+	"figure4/racing/par": true,
+}
+
+// racingProgress are the work counters that measure how far a racing
+// run's heuristic racers got before the proof cancelled them.
+var racingProgress = []string{"genetic_evaluations", "kl_toggles"}
+
+// allocBase returns the baseline allocs/op a suite's fresh run is held
+// to. For racingSuites it adds, per racingProgress counter that grew, the
+// baseline times the counter's relative growth: each racer allocates at
+// most the whole baseline, in proportion to its progress. A run whose
+// racers got less far keeps the baseline unscaled, and so does a pair
+// lacking the counters.
+func allocBase(name string, base benchRecord, fresh map[string]int64) uint64 {
+	allocs := base.AllocsPerOp
+	if !racingSuites[name] {
+		return allocs
+	}
+	for _, c := range racingProgress {
+		if b, f := base.Counters[c], fresh[c]; b > 0 && f > b {
+			allocs += base.AllocsPerOp * uint64(f-b) / uint64(b)
+		}
+	}
+	return allocs
 }
 
 // counterDeltas compares a suite's work-counter deltas against the
@@ -83,7 +147,7 @@ func loadBenchFile(path string) (*benchFile, error) {
 // allocLimit returns the failure threshold for a suite's allocs/op.
 func allocLimit(name string, base uint64) uint64 {
 	pct, abs := uint64(seqAllocSlackPct), uint64(seqAllocSlackAbs)
-	if strings.HasSuffix(name, "/par") {
+	if strings.HasSuffix(name, "/par") || racingSuites[name] {
 		pct, abs = parAllocSlackPct, parAllocSlackAbs
 	}
 	slack := base * pct / 100
@@ -95,7 +159,9 @@ func allocLimit(name string, base uint64) uint64 {
 
 // runBenchDiff is the `isebench -diff` gate: compare a freshly measured
 // benchmark file against the tracked baseline, suite by suite. Allocation
-// regressions fail (allocs are deterministic modulo the slack above);
+// regressions fail (allocs are deterministic modulo the slack above, and
+// racingSuites are first scaled by their racers' progress), and so does
+// exact_explored growth on the pinnedCounters suites;
 // ns/op regressions past nsTol (a ratio, e.g. 0.5 = +50%) only warn, since
 // wall-clock depends on the machine the gate runs on. A suite present in
 // the baseline but missing from the fresh file fails — silently dropping a
@@ -131,9 +197,13 @@ func runBenchDiff(basePath, freshPath string, nsTol float64) error {
 		delete(freshBy, b.Name) // what is left after the loop is ungated
 		status := "ok  "
 		detail := ""
-		if limit := allocLimit(b.Name, b.AllocsPerOp); f.AllocsPerOp > limit {
+		if limit := allocLimit(b.Name, allocBase(b.Name, b, f.Counters)); f.AllocsPerOp > limit {
 			status = "FAIL"
 			detail = fmt.Sprintf("  allocs/op regressed: %d -> %d (limit %d)", b.AllocsPerOp, f.AllocsPerOp, limit)
+			failures++
+		} else if g := pinnedGrowth(b.Name, b.Counters, f.Counters); g != "" {
+			status = "FAIL"
+			detail = g
 			failures++
 		} else if b.NsPerOp > 0 && float64(f.NsPerOp) > float64(b.NsPerOp)*(1+nsTol) {
 			status = "WARN"
@@ -169,7 +239,7 @@ func runBenchDiff(basePath, freshPath string, nsTol float64) error {
 		}
 	}
 	if failures > 0 {
-		return fmt.Errorf("%d suite(s) regressed allocs/op against %s", failures, basePath)
+		return fmt.Errorf("%d suite(s) regressed allocs/op or a pinned work counter against %s", failures, basePath)
 	}
 	return nil
 }

@@ -20,11 +20,17 @@
 //	                    gate a fresh measurement against the baseline:
 //	                    exits non-zero when any suite's allocs/op regressed
 //	                    (deterministic, so compared near-exactly; parallel
-//	                    suites get a wider band for pool/scheduler noise),
-//	                    warns when ns/op exceeds the -ns-tol ratio, and
-//	                    warns when a work counter (exact_explored,
-//	                    kl_toggles, ...) grows >10% even inside ns/op
-//	                    tolerance
+//	                    suites get a wider band for pool/scheduler noise,
+//	                    and racing suites that band on a baseline grown
+//	                    with their racers' progress counters, since the
+//	                    proof cancels the racers at scheduling-dependent
+//	                    points) or when exact_explored grew past the
+//	                    baseline, or is missing, on
+//	                    figure4/exact/seq or figure4/iterative/seq (whose
+//	                    trees are deterministic), warns when ns/op exceeds
+//	                    the -ns-tol ratio, and warns when any other work
+//	                    counter (exact_explored, kl_toggles, ...) grows
+//	                    >10% even inside ns/op tolerance
 //
 // All harnesses fan independent benchmark/configuration cells out across
 // -workers (default: one per CPU core); results are bit-identical to a
@@ -50,7 +56,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "measure the Figure 4/6/7 benchmark suites (-benchtime=1x protocol) and write BENCH_<rev>.json instead of the tables")
 		benchRev = flag.String("rev", "", "revision label for -json (default: the current git commit)")
 		benchOut = flag.String("out", "", `output path for -json ("-" = stdout; default BENCH_<rev>.json)`)
-		diffMode = flag.Bool("diff", false, "compare two BENCH json files (baseline fresh): exit non-zero on allocs/op regressions, warn on ns/op past -ns-tol")
+		diffMode = flag.Bool("diff", false, "compare two BENCH json files (baseline fresh): exit non-zero on allocs/op regressions and pinned exact_explored growth, warn on ns/op past -ns-tol")
 		nsTol    = flag.Float64("ns-tol", 0.5, "ns/op warning tolerance for -diff as a ratio over baseline (0.5 = +50%)")
 	)
 	flag.Parse()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -29,85 +28,87 @@ type jointGolden struct {
 }
 
 // jointGoldens covers every Figure 4 kernel block of at most 25 nodes
-// (the paper's joint-search limit) at four constraint points. Recorded
-// from the BitSet-state search the word-state kernel replaced.
+// (the paper's joint-search limit) at four constraint points. The cut
+// column was recorded from the BitSet-state search the word-state kernel
+// replaced; the tallies are those of the slot-wise bound, pre-searches
+// included, which explores fewer nodes to the same cuts.
 var jointGoldens = []jointGolden{
-	{"conven00_enc", 4, 2, 4, "{0, 1, 2, 3, 4, 5}", 18, 11, 1},
-	{"conven00_enc", 4, 2, 2, "{0, 1, 2, 3, 4, 5}", 18, 11, 1},
-	{"conven00_enc", 2, 1, 4, "{2, 3, 4, 5} {0, 1}", 19, 11, 1},
-	{"conven00_enc", 3, 1, 4, "{2, 3, 4, 5} {0, 1}", 19, 11, 1},
-	{"conven00_glue", 4, 2, 4, "{3, 4} {0}", 12, 5, 1},
-	{"conven00_glue", 4, 2, 2, "{3, 4} {0}", 12, 5, 1},
-	{"conven00_glue", 2, 1, 4, "", 23, 8, 0},
-	{"conven00_glue", 3, 1, 4, "", 23, 8, 0},
-	{"conven00_setup", 4, 2, 4, "{0, 1}", 6, 3, 1},
-	{"conven00_setup", 4, 2, 2, "{0, 1}", 6, 3, 1},
-	{"conven00_setup", 2, 1, 4, "", 7, 4, 0},
-	{"conven00_setup", 3, 1, 4, "", 7, 4, 0},
-	{"fbital00_alloc", 4, 2, 4, "{7, 12, 13, 14, 15, 16, 17, 18, 19} {0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11}", 651, 411, 3},
-	{"fbital00_alloc", 4, 2, 2, "{7, 12, 13, 14, 15, 16, 17, 18, 19} {0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11}", 333, 154, 4},
-	{"fbital00_alloc", 2, 1, 4, "{16, 17, 18, 19} {10, 11, 12, 13, 14, 15} {9} {1, 2, 3, 4, 5, 6}", 12618, 4689, 2},
-	{"fbital00_alloc", 3, 1, 4, "{16, 17, 18, 19} {7, 10, 11, 12, 13, 14, 15} {8, 9} {0, 1, 2, 3, 4, 5, 6}", 1819, 983, 3},
-	{"fbital00_glue", 4, 2, 4, "{3, 4} {0}", 12, 5, 1},
-	{"fbital00_glue", 4, 2, 2, "{3, 4} {0}", 12, 5, 1},
-	{"fbital00_glue", 2, 1, 4, "", 23, 8, 0},
-	{"fbital00_glue", 3, 1, 4, "", 23, 8, 0},
-	{"fbital00_setup", 4, 2, 4, "{0, 1}", 6, 3, 1},
-	{"fbital00_setup", 4, 2, 2, "{0, 1}", 6, 3, 1},
-	{"fbital00_setup", 2, 1, 4, "", 7, 4, 0},
-	{"fbital00_setup", 3, 1, 4, "", 7, 4, 0},
-	{"viterb00_acs", 4, 2, 4, "{16, 17, 18, 19, 20, 21} {10, 11, 12, 13} {6, 7, 8, 9} {0, 1, 2, 3, 4, 5}", 2306192, 711968, 6},
-	{"viterb00_acs", 4, 2, 2, "{16, 17, 18, 19, 20, 21} {0, 1, 2, 3, 4, 5}", 90898, 14322, 5},
-	{"viterb00_acs", 2, 1, 4, "{19, 21} {18, 20} {3, 4, 5} {0, 1, 2}", 39920, 6844, 4},
-	{"viterb00_acs", 3, 1, 4, "{17, 19, 21} {13, 18, 20} {3, 4, 5} {0, 1, 2}", 49732, 10599, 4},
-	{"viterb00_glue", 4, 2, 4, "{3, 4} {0}", 12, 5, 1},
-	{"viterb00_glue", 4, 2, 2, "{3, 4} {0}", 12, 5, 1},
-	{"viterb00_glue", 2, 1, 4, "", 23, 8, 0},
-	{"viterb00_glue", 3, 1, 4, "", 23, 8, 0},
-	{"viterb00_setup", 4, 2, 4, "{0, 1}", 6, 3, 1},
-	{"viterb00_setup", 4, 2, 2, "{0, 1}", 6, 3, 1},
-	{"viterb00_setup", 2, 1, 4, "", 7, 4, 0},
-	{"viterb00_setup", 3, 1, 4, "", 7, 4, 0},
-	{"autcor00_mac", 4, 2, 4, "{13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24} {10, 12} {6, 8} {2, 4}", 1710090, 529098, 4},
-	{"autcor00_mac", 4, 2, 2, "{13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24} {10, 12}", 49406, 7410, 2},
-	{"autcor00_mac", 2, 1, 4, "{16, 17, 18, 19, 20, 21, 22, 23, 24} {14} {12} {10}", 300803, 45618, 3},
-	{"autcor00_mac", 3, 1, 4, "{16, 17, 18, 19, 20, 21, 22, 23, 24} {14, 15} {12, 13} {10, 11}", 833330, 154198, 1},
-	{"autcor00_glue", 4, 2, 4, "{3, 4} {0}", 12, 5, 1},
-	{"autcor00_glue", 4, 2, 2, "{3, 4} {0}", 12, 5, 1},
-	{"autcor00_glue", 2, 1, 4, "", 23, 8, 0},
-	{"autcor00_glue", 3, 1, 4, "", 23, 8, 0},
-	{"autcor00_setup", 4, 2, 4, "{0, 1}", 6, 3, 1},
-	{"autcor00_setup", 4, 2, 2, "{0, 1}", 6, 3, 1},
-	{"autcor00_setup", 2, 1, 4, "", 7, 4, 0},
-	{"autcor00_setup", 3, 1, 4, "", 7, 4, 0},
-	{"adpcm_decoder_glue", 4, 2, 4, "{3, 4} {0}", 12, 5, 1},
-	{"adpcm_decoder_glue", 4, 2, 2, "{3, 4} {0}", 12, 5, 1},
-	{"adpcm_decoder_glue", 2, 1, 4, "", 23, 8, 0},
-	{"adpcm_decoder_glue", 3, 1, 4, "", 23, 8, 0},
-	{"adpcm_decoder_setup", 4, 2, 4, "{0, 1}", 6, 3, 1},
-	{"adpcm_decoder_setup", 4, 2, 2, "{0, 1}", 6, 3, 1},
-	{"adpcm_decoder_setup", 2, 1, 4, "", 7, 4, 0},
-	{"adpcm_decoder_setup", 3, 1, 4, "", 7, 4, 0},
-	{"adpcm_decoder_unpack", 4, 2, 4, "{1, 2, 3, 4} {0}", 16, 9, 1},
-	{"adpcm_decoder_unpack", 4, 2, 2, "{1, 2, 3, 4} {0}", 16, 9, 1},
-	{"adpcm_decoder_unpack", 2, 1, 4, "{3, 4} {1, 2} {0}", 25, 13, 1},
-	{"adpcm_decoder_unpack", 3, 1, 4, "{3, 4} {1, 2} {0}", 25, 13, 1},
-	{"adpcm_coder_glue", 4, 2, 4, "{3, 4} {0}", 12, 5, 1},
-	{"adpcm_coder_glue", 4, 2, 2, "{3, 4} {0}", 12, 5, 1},
-	{"adpcm_coder_glue", 2, 1, 4, "", 23, 8, 0},
-	{"adpcm_coder_glue", 3, 1, 4, "", 23, 8, 0},
-	{"adpcm_coder_setup", 4, 2, 4, "{0, 1}", 6, 3, 1},
-	{"adpcm_coder_setup", 4, 2, 2, "{0, 1}", 6, 3, 1},
-	{"adpcm_coder_setup", 2, 1, 4, "", 7, 4, 0},
-	{"adpcm_coder_setup", 3, 1, 4, "", 7, 4, 0},
-	{"fft00_glue", 4, 2, 4, "{3, 4} {0}", 12, 5, 1},
-	{"fft00_glue", 4, 2, 2, "{3, 4} {0}", 12, 5, 1},
-	{"fft00_glue", 2, 1, 4, "", 23, 8, 0},
-	{"fft00_glue", 3, 1, 4, "", 23, 8, 0},
-	{"fft00_setup", 4, 2, 4, "{0, 1}", 6, 3, 1},
-	{"fft00_setup", 4, 2, 2, "{0, 1}", 6, 3, 1},
-	{"fft00_setup", 2, 1, 4, "", 7, 4, 0},
-	{"fft00_setup", 3, 1, 4, "", 7, 4, 0},
+	{"conven00_enc", 4, 2, 4, "{0, 1, 2, 3, 4, 5}", 54, 26, 1},
+	{"conven00_enc", 4, 2, 2, "{0, 1, 2, 3, 4, 5}", 54, 26, 1},
+	{"conven00_enc", 2, 1, 4, "{2, 3, 4, 5} {0, 1}", 41, 18, 1},
+	{"conven00_enc", 3, 1, 4, "{2, 3, 4, 5} {0, 1}", 41, 18, 1},
+	{"conven00_glue", 4, 2, 4, "{3, 4} {0}", 24, 8, 1},
+	{"conven00_glue", 4, 2, 2, "{3, 4} {0}", 24, 8, 1},
+	{"conven00_glue", 2, 1, 4, "", 9, 4, 0},
+	{"conven00_glue", 3, 1, 4, "", 9, 4, 0},
+	{"conven00_setup", 4, 2, 4, "{0, 1}", 10, 5, 1},
+	{"conven00_setup", 4, 2, 2, "{0, 1}", 10, 5, 1},
+	{"conven00_setup", 2, 1, 4, "", 3, 3, 0},
+	{"conven00_setup", 3, 1, 4, "", 3, 3, 0},
+	{"fbital00_alloc", 4, 2, 4, "{7, 12, 13, 14, 15, 16, 17, 18, 19} {0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11}", 1163, 558, 3},
+	{"fbital00_alloc", 4, 2, 2, "{7, 12, 13, 14, 15, 16, 17, 18, 19} {0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11}", 666, 224, 4},
+	{"fbital00_alloc", 2, 1, 4, "{16, 17, 18, 19} {10, 11, 12, 13, 14, 15} {9} {1, 2, 3, 4, 5, 6}", 3104, 1486, 2},
+	{"fbital00_alloc", 3, 1, 4, "{16, 17, 18, 19} {7, 10, 11, 12, 13, 14, 15} {8, 9} {0, 1, 2, 3, 4, 5, 6}", 1142, 527, 3},
+	{"fbital00_glue", 4, 2, 4, "{3, 4} {0}", 24, 8, 1},
+	{"fbital00_glue", 4, 2, 2, "{3, 4} {0}", 24, 8, 1},
+	{"fbital00_glue", 2, 1, 4, "", 9, 4, 0},
+	{"fbital00_glue", 3, 1, 4, "", 9, 4, 0},
+	{"fbital00_setup", 4, 2, 4, "{0, 1}", 10, 5, 1},
+	{"fbital00_setup", 4, 2, 2, "{0, 1}", 10, 5, 1},
+	{"fbital00_setup", 2, 1, 4, "", 3, 3, 0},
+	{"fbital00_setup", 3, 1, 4, "", 3, 3, 0},
+	{"viterb00_acs", 4, 2, 4, "{16, 17, 18, 19, 20, 21} {10, 11, 12, 13} {6, 7, 8, 9} {0, 1, 2, 3, 4, 5}", 308636, 51093, 6},
+	{"viterb00_acs", 4, 2, 2, "{16, 17, 18, 19, 20, 21} {0, 1, 2, 3, 4, 5}", 5213, 397, 5},
+	{"viterb00_acs", 2, 1, 4, "{19, 21} {18, 20} {3, 4, 5} {0, 1, 2}", 2519, 337, 4},
+	{"viterb00_acs", 3, 1, 4, "{17, 19, 21} {13, 18, 20} {3, 4, 5} {0, 1, 2}", 1118, 320, 4},
+	{"viterb00_glue", 4, 2, 4, "{3, 4} {0}", 24, 8, 1},
+	{"viterb00_glue", 4, 2, 2, "{3, 4} {0}", 24, 8, 1},
+	{"viterb00_glue", 2, 1, 4, "", 9, 4, 0},
+	{"viterb00_glue", 3, 1, 4, "", 9, 4, 0},
+	{"viterb00_setup", 4, 2, 4, "{0, 1}", 10, 5, 1},
+	{"viterb00_setup", 4, 2, 2, "{0, 1}", 10, 5, 1},
+	{"viterb00_setup", 2, 1, 4, "", 3, 3, 0},
+	{"viterb00_setup", 3, 1, 4, "", 3, 3, 0},
+	{"autcor00_mac", 4, 2, 4, "{13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24} {10, 12} {6, 8} {2, 4}", 1179, 224, 4},
+	{"autcor00_mac", 4, 2, 2, "{13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24} {10, 12}", 1064, 188, 2},
+	{"autcor00_mac", 2, 1, 4, "{16, 17, 18, 19, 20, 21, 22, 23, 24} {14} {12} {10}", 421, 66, 3},
+	{"autcor00_mac", 3, 1, 4, "{16, 17, 18, 19, 20, 21, 22, 23, 24} {14, 15} {12, 13} {10, 11}", 490, 74, 1},
+	{"autcor00_glue", 4, 2, 4, "{3, 4} {0}", 24, 8, 1},
+	{"autcor00_glue", 4, 2, 2, "{3, 4} {0}", 24, 8, 1},
+	{"autcor00_glue", 2, 1, 4, "", 9, 4, 0},
+	{"autcor00_glue", 3, 1, 4, "", 9, 4, 0},
+	{"autcor00_setup", 4, 2, 4, "{0, 1}", 10, 5, 1},
+	{"autcor00_setup", 4, 2, 2, "{0, 1}", 10, 5, 1},
+	{"autcor00_setup", 2, 1, 4, "", 3, 3, 0},
+	{"autcor00_setup", 3, 1, 4, "", 3, 3, 0},
+	{"adpcm_decoder_glue", 4, 2, 4, "{3, 4} {0}", 24, 8, 1},
+	{"adpcm_decoder_glue", 4, 2, 2, "{3, 4} {0}", 24, 8, 1},
+	{"adpcm_decoder_glue", 2, 1, 4, "", 9, 4, 0},
+	{"adpcm_decoder_glue", 3, 1, 4, "", 9, 4, 0},
+	{"adpcm_decoder_setup", 4, 2, 4, "{0, 1}", 10, 5, 1},
+	{"adpcm_decoder_setup", 4, 2, 2, "{0, 1}", 10, 5, 1},
+	{"adpcm_decoder_setup", 2, 1, 4, "", 3, 3, 0},
+	{"adpcm_decoder_setup", 3, 1, 4, "", 3, 3, 0},
+	{"adpcm_decoder_unpack", 4, 2, 4, "{1, 2, 3, 4} {0}", 39, 18, 1},
+	{"adpcm_decoder_unpack", 4, 2, 2, "{1, 2, 3, 4} {0}", 39, 18, 1},
+	{"adpcm_decoder_unpack", 2, 1, 4, "{3, 4} {1, 2} {0}", 37, 17, 1},
+	{"adpcm_decoder_unpack", 3, 1, 4, "{3, 4} {1, 2} {0}", 37, 17, 1},
+	{"adpcm_coder_glue", 4, 2, 4, "{3, 4} {0}", 24, 8, 1},
+	{"adpcm_coder_glue", 4, 2, 2, "{3, 4} {0}", 24, 8, 1},
+	{"adpcm_coder_glue", 2, 1, 4, "", 9, 4, 0},
+	{"adpcm_coder_glue", 3, 1, 4, "", 9, 4, 0},
+	{"adpcm_coder_setup", 4, 2, 4, "{0, 1}", 10, 5, 1},
+	{"adpcm_coder_setup", 4, 2, 2, "{0, 1}", 10, 5, 1},
+	{"adpcm_coder_setup", 2, 1, 4, "", 3, 3, 0},
+	{"adpcm_coder_setup", 3, 1, 4, "", 3, 3, 0},
+	{"fft00_glue", 4, 2, 4, "{3, 4} {0}", 24, 8, 1},
+	{"fft00_glue", 4, 2, 2, "{3, 4} {0}", 24, 8, 1},
+	{"fft00_glue", 2, 1, 4, "", 9, 4, 0},
+	{"fft00_glue", 3, 1, 4, "", 9, 4, 0},
+	{"fft00_setup", 4, 2, 4, "{0, 1}", 10, 5, 1},
+	{"fft00_setup", 4, 2, 2, "{0, 1}", 10, 5, 1},
+	{"fft00_setup", 2, 1, 4, "", 3, 3, 0},
+	{"fft00_setup", 3, 1, 4, "", 3, 3, 0},
 }
 
 func kernelBlocksByName() map[string]*ir.Block {
@@ -141,11 +142,7 @@ func TestJointSearchGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		var got []string
-		for _, c := range seq {
-			got = append(got, c.Nodes.String())
-		}
-		if s := strings.Join(got, " "); s != g.cuts {
+		if s := cutsString(seq); s != g.cuts {
 			t.Errorf("%s: cuts %s, want %s", label, s, g.cuts)
 		}
 		cs := rec.Counters()
@@ -286,5 +283,113 @@ func TestJointWideInputs(t *testing.T) {
 				t.Fatalf("trial %d %v (%d nodes): joint merit %v, brute force %v", trial, c, blk.N(), got, want)
 			}
 		}
+	}
+}
+
+// TestExploredWithoutBudget: Explored and the exact_explored counter
+// report the same node count whether or not a Budget is set.
+func TestExploredWithoutBudget(t *testing.T) {
+	blk := kernelBlocksByName()["fbital00_alloc"]
+	run := func(budget int64, multi bool) (explored, counter int64) {
+		rec := obs.NewRecorder(0)
+		ctx := obs.WithRecorder(context.Background(), rec)
+		opt := Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Budget: budget, Explored: &explored}
+		var err error
+		if multi {
+			_, err = MultiCutContext(ctx, blk, opt, 4)
+		} else {
+			_, err = SingleCutContext(ctx, blk, opt, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return explored, rec.Counters().Get(obs.ExactExplored)
+	}
+	for _, multi := range []bool{true, false} {
+		e0, c0 := run(0, multi)
+		e1, c1 := run(1<<40, multi)
+		if e0 <= 0 || e0 != e1 || c0 != e0 || c1 != e1 {
+			t.Errorf("multi %v: Explored/exact_explored = %d/%d unbudgeted, %d/%d budgeted; want equal and positive",
+				multi, e0, c0, e1, c1)
+		}
+	}
+}
+
+// TestJointPreSearchLimits: the single-cut pre-searches run under the
+// run's budget and context. A budget smaller than their cost ends the
+// run with ErrBudget, and a pre-cancelled context with context.Canceled.
+func TestJointPreSearchLimits(t *testing.T) {
+	blk := kernelBlocksByName()["viterb00_acs"]
+	var explored int64
+	opt := Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Budget: 100, Explored: &explored}
+	if _, err := MultiCutContext(context.Background(), blk, opt, 4); !errors.Is(err, ErrBudget) {
+		t.Fatalf("budget 100: err = %v, want ErrBudget", err)
+	}
+	if explored <= opt.Budget {
+		t.Fatalf("budget 100: explored %d, want the pre-searches' cost past the budget", explored)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt.Budget, explored = 0, 0
+	if _, err := MultiCutContext(ctx, blk, opt, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestJointNISE1: at NISE 1 the pre-searches answer alone. The cut has
+// the single-cut optimum's merit, is published into the run's Bound, and
+// is the same cut with the bound seeded at the optimum and on the
+// subtree-parallel path. TestJointRandomGolden's (4,2,1) point pins the
+// cuts themselves.
+func TestJointNISE1(t *testing.T) {
+	for _, name := range []string{"fbital00_alloc", "viterb00_acs", "autcor00_mac"} {
+		blk := kernelBlocksByName()[name]
+		for _, io := range [][2]int{{4, 2}, {2, 1}} {
+			label := fmt.Sprintf("%s (%d,%d,1)", name, io[0], io[1])
+			opt := Options{MaxIn: io[0], MaxOut: io[1], Model: latency.Default(), Bound: NewBound()}
+			cuts, err := MultiCutContext(context.Background(), blk, opt, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			single, err := SingleCutContext(context.Background(), blk, Options{MaxIn: io[0], MaxOut: io[1], Model: latency.Default()}, nil)
+			if err != nil {
+				t.Fatalf("%s single: %v", label, err)
+			}
+			if len(cuts) != 1 || single == nil || cuts[0].Merit() != single.Merit() {
+				t.Fatalf("%s: cuts %s, want one cut of merit %v", label, cutsString(cuts), single.Merit())
+			}
+			if got := opt.Bound.Best(); got != single.Merit() {
+				t.Errorf("%s: Bound %v after the run, want %v", label, got, single.Merit())
+			}
+			seeded := Options{MaxIn: io[0], MaxOut: io[1], Model: latency.Default(), SeedBound: single.Merit()}
+			again, err := MultiCutContext(context.Background(), blk, seeded, 1)
+			if err != nil {
+				t.Fatalf("%s seeded: %v", label, err)
+			}
+			sameCuts(t, label+" seeded at the optimum", cuts, again)
+			seeded.SeedBound, seeded.Workers = 0, 3
+			par, err := MultiCutContext(context.Background(), blk, seeded, 1)
+			if err != nil {
+				t.Fatalf("%s workers 3: %v", label, err)
+			}
+			sameCuts(t, label+" workers 3", cuts, par)
+		}
+	}
+}
+
+// TestJointNegativeSWRejected: a model with a negative software latency
+// is refused up front; the joint and single-cut bounds assume SW ≥ 0.
+func TestJointNegativeSWRejected(t *testing.T) {
+	bu := ir.NewBuilder("negsw", 1)
+	x, y := bu.Input("x"), bu.Input("y")
+	bu.LiveOut(bu.Xor(bu.Mul(x, y), y))
+	blk := bu.MustBuild()
+	opt := Options{MaxIn: 4, MaxOut: 2, Model: latency.Default()}
+	opt.Model.SW[ir.OpXor] = -5
+	if _, err := MultiCutContext(context.Background(), blk, opt, 2); err == nil {
+		t.Error("MultiCutContext accepted a negative software latency")
+	}
+	if _, err := SingleCutContext(context.Background(), blk, opt, nil); err == nil {
+		t.Error("SingleCutContext accepted a negative software latency")
 	}
 }

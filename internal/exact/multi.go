@@ -29,13 +29,24 @@ func CheckJointSize(blk *ir.Block, nodeLimit int) error {
 }
 
 // jointTables is the per-block preprocessing of the joint search, one
-// word per node set (bit v = node v). It is immutable after construction
-// and shared read-only by every subtree worker.
+// word per node set (bit v = node v). Only m1at and m1suf change after
+// construction, and only during the pre-searches, which finish before any
+// subtree worker starts; from then on the tables are shared read-only by
+// every worker.
 type jointTables struct {
 	order    []int // reverse topological order
 	swLat    []int
 	hwLat    []float64
-	suffixSW []int // suffixSW[i] = Σ software latency of non-frozen order[i:]
+	suffixSW []int    // suffixSW[i] = Σ software latency of non-frozen order[i:]
+	rem      []uint64 // rem[i] = non-frozen nodes of order[i:]
+	// m1at[i] bounds the merit of any feasible cut inside order[i:] that
+	// holds order[i], and m1suf[i] that of any feasible cut inside
+	// order[i:]. Both start at suffixSW[i]; singleCutOptima replaces them
+	// with the exact optima. m1suf[0] is M1, the best single cut.
+	m1at, m1suf []int
+	// swPlane[j] holds the nodes whose software latency has bit j set,
+	// so the SW sum of a node set m is Σ_j popcount(m & swPlane[j]) << j.
+	swPlane []uint64
 
 	desc, anc []uint64 // transitive successors / predecessors of node v
 	uses      []uint64 // consumer nodes of value v (node or external input)
@@ -54,6 +65,9 @@ func newJointTables(blk *ir.Block, opt *Options) *jointTables {
 		swLat:    make([]int, n),
 		hwLat:    make([]float64, n),
 		suffixSW: make([]int, n+1),
+		rem:      make([]uint64, n+1),
+		m1at:     make([]int, n+1),
+		m1suf:    make([]int, n+1),
 		desc:     make([]uint64, n),
 		anc:      make([]uint64, n),
 		uses:     make([]uint64, blk.NumValues()),
@@ -101,11 +115,34 @@ func newJointTables(blk *ir.Block, opt *Options) *jointTables {
 	}
 	for i := n - 1; i >= 0; i-- {
 		t.suffixSW[i] = t.suffixSW[i+1]
+		t.rem[i] = t.rem[i+1]
 		if v := t.order[i]; t.frozen&(1<<v) == 0 {
 			t.suffixSW[i] += t.swLat[v]
+			t.rem[i] |= 1 << v
+		}
+		t.m1at[i], t.m1suf[i] = t.suffixSW[i], t.suffixSW[i]
+	}
+	for m := t.rem[0]; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros64(m)
+		for j := 0; t.swLat[v]>>j != 0; j++ {
+			if j == len(t.swPlane) {
+				t.swPlane = append(t.swPlane, 0)
+			}
+			if t.swLat[v]>>j&1 != 0 {
+				t.swPlane[j] |= 1 << v
+			}
 		}
 	}
 	return t
+}
+
+// swOf returns the summed software latency of node set m.
+func (t *jointTables) swOf(m uint64) int {
+	sum := 0
+	for j, p := range t.swPlane {
+		sum += bits.OnesCount64(m&p) << j
+	}
+	return sum
 }
 
 // word returns a set over at most 64 elements as one word.
@@ -119,13 +156,15 @@ func word(b *graph.BitSet) uint64 {
 // slot is one cut of the joint search. The invariants match
 // singleCutSearch's, maintained independently per cut: pending holds the
 // nodes whose value the cut consumes while their own decision is still
-// open; blocked the nodes that may no longer join (convexity). The cut's
-// external inputs are not stored: input x is in the cut's input set
-// exactly when uses[x]&cut != 0, which works for any input count.
+// open; blocked the nodes that may no longer join (convexity); feeds the
+// sources of nodes decided outside the cut, which would join only as new
+// outputs. The cut's external inputs are not stored: input x is in the
+// cut's input set exactly when uses[x]&cut != 0, which works for any
+// input count. merit is the cut's core.MeritOf(swSum, hwCP).
 type slot struct {
-	cut, blocked, pending uint64
-	inCnt, outCnt, swSum  int
-	hwCP                  float64
+	cut, blocked, pending, feeds uint64
+	inCnt, outCnt, merit, cap    int
+	hwCP                         float64
 }
 
 // multiCutSearch is one worker's joint search over the shared tables.
@@ -221,9 +260,74 @@ func MultiCutContext(ctx context.Context, blk *ir.Block, opt Options, nise int) 
 	return cuts, nil
 }
 
-// run drives the joint search: single-threaded, or split + fan-out +
-// deterministic merge (see singleCutSearch.run; the same three phases).
+// singleCutOptima replaces m1at and m1suf with exact single-cut optima: for
+// i from n−1 down to 0 it opens one slot with order[i] and searches
+// order[i+1:] for the best cut holding it; m1suf[i] is the larger of that
+// and m1suf[i+1]. Each cut has exactly one first node in the search
+// order, so together the anchored searches cover every cut once. They
+// reuse this worker's buffers and prune against a private bound, reset per
+// anchor, never against the run's: their leaves are single cuts, which
+// say nothing about what the joint search or a racing producer may
+// publish. They run under the run's context and budget, and their nodes
+// count as explored. They are skipped when the cheap bound already prunes
+// the root; ran reports whether they ran.
+//
+// first is the best cut of the smallest anchor reaching M1, as its anchored
+// search found it first. At NISE 1 that is the joint search's answer: the
+// joint DFS tries order[i] in the cut before leaving it out, so it meets
+// every cut anchored at i before any anchored later, and below the anchor
+// it walks the same decisions in the same order, so the first optimal leaf
+// of either search is the same under any admissible bound.
+func (s *multiCutSearch) singleCutOptima() (first uint64, ran bool, err error) {
+	main := s.sh
+	if ub := float64(s.suffixSW[0]); ub <= 0 || ub < main.best() {
+		return 0, false, nil
+	}
+	pre := newSharedBound(main.ctx, main.budget, nil)
+	nise := len(s.slots)
+	s.sh, s.slots = pre, s.slots[:1]
+	for i := len(s.order) - 1; i >= 0 && !s.stopped; i-- {
+		at := 0 // a frozen node opens no cut
+		if v := s.order[i]; s.frozen&(1<<v) == 0 {
+			s.slots[0] = slot{}
+			s.used, s.tot, s.bestTot = 0, 0, 0
+			pre.bound.merit.Store(0)
+			copy(s.snap[i], s.slots)
+			s.include(i, v, 0)
+			at = int(s.bestTot)
+		}
+		if at > 0 && at >= s.m1suf[i+1] {
+			first = s.best[0]
+		}
+		s.m1at[i], s.m1suf[i] = at, max(s.m1suf[i+1], at)
+	}
+	s.flush()
+	s.sh, s.slots = main, s.slots[:nise]
+	s.slots[0] = slot{}
+	s.used, s.tot, s.bestTot = 0, 0, 0
+	clear(s.best)
+	main.explored.Add(pre.explored.Load())
+	main.prunedLocal.Add(pre.prunedLocal.Load())
+	main.prunedShared.Add(pre.prunedShared.Load())
+	return first, true, pre.err()
+}
+
+// run drives the joint search after the single-cut pre-searches:
+// single-threaded, or split + fan-out + deterministic merge (see
+// singleCutSearch.run; the same three phases). At NISE 1 the pre-searches
+// have already found the answer, so no joint search follows them.
 func (s *multiCutSearch) run(opt *Options) ([]uint64, error) {
+	first, ran, err := s.singleCutOptima()
+	if err != nil {
+		return nil, err
+	}
+	if ran && len(s.slots) == 1 {
+		if first != 0 {
+			s.sh.raise(float64(s.m1suf[0]))
+		}
+		s.best[0] = first
+		return s.best, nil
+	}
 	n := len(s.order)
 	nise := len(s.slots)
 	w := opt.workersOf()
@@ -297,8 +401,13 @@ func (s *multiCutSearch) search(i int) {
 		}
 		return
 	}
+	// The remaining-latency bound costs one load; the slot-wise bound is
+	// evaluated only where that one does not prune already.
 	cur := s.tot
 	ub := cur + float64(s.suffixSW[i])
+	if ub > s.bestTot && ub >= s.sh.best() {
+		ub = min(ub, s.slotBound(i))
+	}
 	if ub <= s.bestTot {
 		s.prunedLocal++
 		return
@@ -331,6 +440,31 @@ func (s *multiCutSearch) search(i int) {
 		}
 	}
 	s.exclude(i, v)
+}
+
+// slotBound bounds the summed merit of any completion of the assignment
+// at depth i, slot by slot. A node that joins a cut raises its merit by
+// at most its software latency, and only the non-frozen nodes of order[i:]
+// outside the cut's blocked set can still join; a cut already at maxOut
+// cannot take a node that would be an output. That bounds each open cut
+// alone, and, since a node joins at most one cut, all open cuts together.
+// A cut opened at depth j lies inside order[j:] and holds order[j], so its
+// merit stays at most m1at[j] (its cap); a cut not yet opened lies inside
+// order[i:], so its merit is at most m1suf[i].
+func (s *multiCutSearch) slotBound(i int) float64 {
+	rem := s.rem[i]
+	each, free := 0, uint64(0)
+	for k := range s.used {
+		sl := &s.slots[k]
+		f := rem &^ sl.blocked
+		if sl.outCnt == s.maxOut {
+			f &^= s.hasValue & (s.liveOut | sl.feeds)
+		}
+		free |= f
+		each += min(sl.cap, sl.merit+s.swOf(f))
+	}
+	open := min(float64(each), s.tot+float64(s.swOf(free)))
+	return open + float64((len(s.slots)-s.used)*s.m1suf[i])
 }
 
 // include tries assigning v to slot k; other slots see v as excluded.
@@ -366,9 +500,9 @@ func (s *multiCutSearch) include(i, v, k int) {
 	tot, used := s.tot, s.used
 	if sl.cut == 0 {
 		s.used++
+		sl.cap = s.m1at[i]
 	}
 	sl.cut |= bit
-	sl.swSum += s.swLat[v]
 	if isOut {
 		sl.outCnt++
 	}
@@ -376,7 +510,7 @@ func (s *multiCutSearch) include(i, v, k int) {
 	sl.pending = (sl.pending | s.srcs[v]&^sl.cut) &^ bit
 	// The slot's merit core.MeritOf(swSum, hwCP) grows by v's software
 	// latency less the HW cycles its critical path gains.
-	delta := float64(s.swLat[v])
+	delta := s.swLat[v]
 	tail := s.tails[k]
 	down := 0.0
 	for m := s.succs[v] & sl.cut; m != 0; m &= m - 1 {
@@ -386,10 +520,11 @@ func (s *multiCutSearch) include(i, v, k int) {
 	}
 	tail[v] = s.hwLat[v] + down
 	if tail[v] > sl.hwCP {
-		delta -= float64(core.HWCycles(tail[v]) - core.HWCycles(sl.hwCP))
+		delta -= core.HWCycles(tail[v]) - core.HWCycles(sl.hwCP)
 		sl.hwCP = tail[v]
 	}
-	s.tot += delta
+	sl.merit += delta
+	s.tot += float64(delta)
 	for j := range s.slots {
 		if j != k {
 			s.leave(&s.slots[j], v, bit)
@@ -419,7 +554,9 @@ func (s *multiCutSearch) exclude(i, v int) {
 // leave commits v as an outside node of sl. With a descendant in the cut
 // (a pending use implies one) every ancestor of v must stay outside, or
 // the cut becomes non-convex; a pending use becomes a permanent input.
+// v's sources would now join only as outputs.
 func (s *multiCutSearch) leave(sl *slot, v int, bit uint64) {
+	sl.feeds |= s.srcs[v]
 	wasPending := sl.pending&bit != 0
 	if wasPending || sl.cut&s.desc[v] != 0 {
 		sl.blocked |= s.anc[v]

@@ -125,7 +125,7 @@ func (sh *sharedBound) obsFlush(ctx context.Context) {
 // whether the search must stop: budget exhausted, context cancelled, or a
 // peer already aborted. Called every checkEvery nodes per worker.
 func (sh *sharedBound) charge(n int64) bool {
-	if sh.budget > 0 && sh.explored.Add(n) > sh.budget {
+	if e := sh.explored.Add(n); sh.budget > 0 && e > sh.budget {
 		sh.budgetHit.Store(true)
 		sh.stop.Store(true)
 	} else if sh.ctx != nil && sh.ctx.Err() != nil {

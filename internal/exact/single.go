@@ -18,6 +18,18 @@
 // node limit; the paper's joint search handled ~25 nodes. The single-cut
 // searches use graph.BitSet and take blocks of any size.
 //
+// The joint search bounds each cut separately. An open cut gains at most
+// the software latency of the undecided nodes it may still take (not
+// convexity-blocked, and no would-be output once its outputs are full),
+// and at most the best single cut with the same first node; a cut not yet
+// opened gains at most the best single cut among the undecided nodes.
+// Single-cut pre-searches on the same kernel compute those optima before
+// the joint search starts, against a private bound and under the run's
+// budget and context; at NISE 1 they find the answer themselves. The
+// bound is admissible, so the cuts are those of the plain
+// remaining-latency bound; only the tree is smaller (DESIGN.md, "The
+// joint search's bound").
+//
 // All entry points refuse blocks beyond a configurable node limit and
 // abort when a search-node budget is exhausted, mirroring the paper's
 // observation that the exact approaches fail on large basic blocks such as
@@ -110,8 +122,9 @@ type Options struct {
 	// achieves. SeedBound, when also set, is folded into it at start.
 	Bound *Bound
 	// Explored, when non-nil, receives the run's total explored
-	// search-tree node count, added once before the entry point returns
-	// (accumulating across the single-cut rounds of IterativeContext).
+	// search-tree node count, budgeted or not, added once before the
+	// entry point returns (accumulating across the single-cut rounds of
+	// IterativeContext; MultiCutContext counts its pre-searches too).
 	// It feeds the service's seeded-vs-unseeded pruning metrics.
 	Explored *int64
 }

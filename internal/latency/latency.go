@@ -125,12 +125,18 @@ func (m *Model) BlockSWLat(b *ir.Block) int {
 	return total
 }
 
-// Validate checks that the model covers every opcode used by the block.
+// Validate checks that the model covers every opcode used by the block
+// with a non-negative software latency. The exact searches' merit bounds
+// assume that a node never lowers the software latency of a cut.
 func (m *Model) Validate(b *ir.Block) error {
 	for i := range b.Nodes {
 		op := b.Nodes[i].Op
-		if _, ok := m.SW[op]; !ok {
+		sw, ok := m.SW[op]
+		if !ok {
 			return fmt.Errorf("latency: block %q node %d: no software latency for %v", b.Name, i, op)
+		}
+		if sw < 0 {
+			return fmt.Errorf("latency: block %q node %d: negative software latency %d for %v", b.Name, i, sw, op)
 		}
 		if !op.IsMem() {
 			if _, ok := m.HW[op]; !ok {

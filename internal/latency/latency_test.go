@@ -1,6 +1,7 @@
 package latency
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -73,6 +74,29 @@ func TestBlockSWLatAndValidate(t *testing.T) {
 	bad := &Model{SW: map[ir.Op]int{ir.OpAdd: 1}, HW: map[ir.Op]float64{ir.OpAdd: 0.3}}
 	if err := bad.Validate(blk); err == nil {
 		t.Error("Validate should fail for incomplete model")
+	}
+}
+
+// TestValidateRejectsNegativeSW: a negative software latency fails
+// validation with an error naming the opcode, on a mul → xor block whose
+// {mul} cut alone would be feasible.
+func TestValidateRejectsNegativeSW(t *testing.T) {
+	bu := ir.NewBuilder("b", 1)
+	x, y := bu.Input("x"), bu.Input("y")
+	bu.LiveOut(bu.Xor(bu.Mul(x, y), y))
+	blk := bu.MustBuild()
+	m := Default()
+	m.SW[ir.OpXor] = -5
+	err := m.Validate(blk)
+	if err == nil {
+		t.Fatal("Validate accepted a negative software latency")
+	}
+	if !strings.Contains(err.Error(), ir.OpXor.String()) || !strings.Contains(err.Error(), "negative") {
+		t.Errorf("error %q does not name the negative opcode %v", err, ir.OpXor)
+	}
+	m.SW[ir.OpXor] = 0
+	if err := m.Validate(blk); err != nil {
+		t.Errorf("zero software latency rejected: %v", err)
 	}
 }
 

@@ -189,15 +189,17 @@ func (q *Queue) worker() {
 		// worker, and Close waits for the last worker to observe closed.
 		q.cond.Broadcast()
 		q.mu.Unlock()
+		// Done fires after the accounting, so a caller that waited on it
+		// sees the job in Stats.
+		close(j.done)
 	}
 }
 
 // runJob executes one job, containing panics: jobs run on queue workers,
 // outside net/http's per-request recovery, so an engine panic on one
-// tenant's upload must not take down the daemon (and must still close
-// done, or the submitting handler would hang forever).
+// tenant's upload must not take down the daemon (the worker must still
+// close done, or the submitting handler would hang forever).
 func (q *Queue) runJob(j *Job) {
-	defer close(j.done)
 	defer func() {
 		if r := recover(); r != nil {
 			j.err = fmt.Errorf("service: job panicked: %v", r)

@@ -251,3 +251,33 @@ func TestQueueCloseAbandonsPending(t *testing.T) {
 		t.Fatalf("post-close Submit err = %v, want ErrQueueClosed", err)
 	}
 }
+
+// TestQueueDoneAfterAccounting: Done fires only after the worker has
+// counted the job, so a caller woken by it sees the job in Stats. The
+// test holds the queue lock while the job returns, which stalls the
+// accounting; Done must not fire until the lock is released.
+func TestQueueDoneAfterAccounting(t *testing.T) {
+	q := NewQueue(4, 1, 1)
+	defer q.Close()
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	j, err := q.Submit(context.Background(), "A", blockingJob(started, release, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	q.mu.Lock()
+	close(release)
+	select {
+	case <-j.Done():
+		completed := q.completed
+		q.mu.Unlock()
+		t.Fatalf("Done fired before the job was counted (completed %d)", completed)
+	case <-time.After(50 * time.Millisecond):
+	}
+	q.mu.Unlock()
+	<-j.Done()
+	if st := q.Stats(); st.Completed != 1 || st.Active != 0 {
+		t.Fatalf("after Done: completed %d, active %d; want 1, 0", st.Completed, st.Active)
+	}
+}
