@@ -24,7 +24,8 @@ type Config struct {
 	NISE int
 	// MaxPasses bounds the outer K-L loop; the paper found 5 passes
 	// sufficient, and the loop exits earlier when a pass brings no
-	// improvement.
+	// improvement. A pass toggles each unfrozen node at most once and
+	// stops early once no later state of it can be feasible.
 	MaxPasses int
 	// Restarts runs the K-L loop from several deterministic start
 	// configurations — the empty cut plus seed nodes dispersed across
@@ -302,6 +303,7 @@ func (e *Engine) getTrajectory() (*trajectory, bool) {
 		curBest: graph.NewBitSet(n),
 		best:    graph.NewBitSet(n),
 		arena:   graph.NewBitSetArena(n),
+		cutoff:  newPassCutoff(n, e.blk.NumValues()),
 	}
 	return t, false
 }
@@ -407,6 +409,7 @@ type trajectory struct {
 	curBest *graph.BitSet
 	best    *graph.BitSet
 	arena   *graph.BitSetArena
+	cutoff  passCutoff
 
 	curBestMerit float64
 	curBestOK    bool
@@ -436,10 +439,13 @@ func (t *trajectory) cancelled() bool {
 }
 
 // klLoop is one full Figure 2 run from the given start cut: up to
-// MaxPasses passes, each toggling every unfrozen node once in best-gain
-// order, tracking the best feasible configuration. Every feasible
-// improvement is recorded into the candidate pool as an arena-backed
-// snapshot.
+// MaxPasses passes, each toggling unfrozen nodes once in best-gain order,
+// tracking the best feasible configuration. Every feasible improvement is
+// recorded into the candidate pool as an arena-backed snapshot. A pass
+// ends when every unfrozen node is marked, or earlier, once the marked
+// nodes prove every later state of the pass infeasible (passCutoff): the
+// remaining toggles could record no snapshot and move no best cut, so the
+// output is that of the full pass.
 func (t *trajectory) klLoop(start *graph.BitSet) {
 	st := t.st
 	best := t.best
@@ -464,6 +470,7 @@ func (t *trajectory) klLoop(start *graph.BitSet) {
 		t.curBest.Reset()
 		t.curBestMerit = bestMerit
 		t.curBestOK = false
+		t.cutoff.reset()
 
 		for {
 			if t.cancelled() {
@@ -485,6 +492,9 @@ func (t *trajectory) klLoop(start *graph.BitSet) {
 						t.snaps = append(t.snaps, Candidate{t.arena.CloneOf(st.H), m})
 					}
 				}
+			}
+			if t.cutoff.note(st, t.marked, v, t.cfg.MaxIn, t.cfg.MaxOut) {
+				break // every later state of this pass is infeasible
 			}
 		}
 

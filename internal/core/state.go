@@ -321,10 +321,11 @@ func (s *State) drainObs() stateObs {
 
 // SetCut resets the partition to exactly the given cut (which must contain
 // no frozen nodes): removeNode/addNode on the symmetric difference, then
-// one recomputeCP relabel sweep. K-L calls it once per pass, and each pass
-// toggles every unfrozen node, so the next pass's reset jumps across most
-// of the block; replaying small deltas as incremental updates measured no
-// faster (DESIGN.md, "Which layers pay").
+// one recomputeCP relabel sweep. K-L calls it once per pass, to return
+// from where the previous pass stopped to the best cut. Replaying small
+// deltas as incremental updates measured no faster when every pass
+// toggled every unfrozen node (DESIGN.md, "Which layers pay"); the pass
+// cutoff has since made the deltas short.
 func (s *State) SetCut(cut *graph.BitSet) {
 	if cut.Intersects(s.Frozen) {
 		panic("core: SetCut includes frozen node")

@@ -4,14 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/latency"
+	"repro/internal/obs"
 	"repro/internal/search"
 )
 
@@ -102,10 +105,42 @@ func TestExactCancelMidBlockAES(t *testing.T) {
 	}
 }
 
-// TestKLCancelMidBlockAES: the same granularity for the K-L engine — a
-// single AES trajectory aborts mid-pass through TrajectoryContext.
+// pollCancelCtx is a context that turns cancelled at a fixed point of the
+// work instead of after a wall-clock sleep: its first polls-1 Err calls
+// report nil, and from the polls-th on Err reports context.Canceled and
+// Done is closed.
+type pollCancelCtx struct {
+	context.Context
+	mu    sync.Mutex
+	left  int
+	polls int // Err calls so far
+	done  chan struct{}
+}
+
+func newPollCancelCtx(parent context.Context, polls int) *pollCancelCtx {
+	return &pollCancelCtx{Context: parent, left: polls, done: make(chan struct{})}
+}
+
+func (c *pollCancelCtx) Done() <-chan struct{} { return c.done }
+
+func (c *pollCancelCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.polls++
+	if c.left > 0 {
+		if c.left--; c.left > 0 {
+			return nil
+		}
+		close(c.done)
+	}
+	return context.Canceled
+}
+
+// TestKLCancelMidBlockAES: the same granularity for the K-L engine — an
+// AES run cancelled partway through its trajectories returns
+// context.Canceled having committed fewer toggles than a full run, and
+// leaks no goroutines.
 func TestKLCancelMidBlockAES(t *testing.T) {
-	base := runtime.NumGoroutine()
 	blk := kernels.AES().Blocks[0]
 	model := latency.Default()
 	kl, err := search.New("isegen", nil)
@@ -113,23 +148,28 @@ func TestKLCancelMidBlockAES(t *testing.T) {
 		t.Fatal(err)
 	}
 	lim := &search.Limits{MaxIn: 4, MaxOut: 2, NISE: 4, Workers: 2}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, _, err = kl.RunContext(ctx, blk, search.Merit(model), lim)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	run := func(polls int) (int64, int, error) {
+		rec := obs.NewRecorder(0)
+		ctx := newPollCancelCtx(obs.WithRecorder(context.Background(), rec), polls)
+		_, _, err := kl.RunContext(ctx, blk, search.Merit(model), lim)
+		ctx.mu.Lock()
+		defer ctx.mu.Unlock()
+		return rec.Counters().Map()["kl_toggles"], ctx.polls, err
 	}
-	// A full AES K-L run takes many seconds; mid-block abort must be far
-	// faster than finishing the block.
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("mid-block cancellation took %v", elapsed)
+	fullToggles, fullPolls, err := run(math.MaxInt)
+	if err != nil {
+		t.Fatalf("uncancelled run: %v", err)
+	}
+	base := runtime.NumGoroutine()
+	toggles, _, err := run(fullPolls / 3)
+	t.Logf("full run: %d toggles, %d polls; cancelled at poll %d: %d toggles", fullToggles, fullPolls, fullPolls/3, toggles)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled (cancelled at poll %d of %d)", err, fullPolls/3, fullPolls)
+	}
+	if toggles >= fullToggles {
+		t.Fatalf("cancelled run committed %d toggles, a full run %d: the abort did not cut the block short", toggles, fullToggles)
 	}
 	waitGoroutinesBase(t, base)
-	cancel()
 }
 
 // waitGoroutinesBase polls until the goroutine count returns to base
