@@ -73,6 +73,8 @@ func TestFigure4ShapesHold(t *testing.T) {
 		t.Errorf("max genetic/ISEGEN runtime ratio %.1f, want >= 5 (paper: up to 480x)", bestFactor)
 	}
 
+	checkGolden(t, "fig4", fig4Golden(rows))
+
 	var buf bytes.Buffer
 	PrintFigure4(&buf, rows)
 	for _, want := range []string{"Figure 4", "conven00(6)", "fft00(104)", "ISEGEN"} {
@@ -87,8 +89,10 @@ func TestFigure6ISEGENBeatsGenetic(t *testing.T) {
 		t.Skip("AES sweep in -short mode")
 	}
 	o := DefaultOptions()
+	var golden []string
 	for _, nise := range []int{1, 4} {
 		pts := Figure6(o, nise)
+		golden = append(golden, fig6Golden(nise, pts)...)
 		if len(pts) != len(IOSweep) {
 			t.Fatalf("nise %d: got %d points, want %d", nise, len(pts), len(IOSweep))
 		}
@@ -109,6 +113,7 @@ func TestFigure6ISEGENBeatsGenetic(t *testing.T) {
 			t.Errorf("nise %d: ISEGEN below genetic on average: %+v", nise, pts)
 		}
 	}
+	checkGolden(t, "fig6", golden)
 }
 
 func TestFigure7InstanceCountsDecrease(t *testing.T) {
@@ -138,6 +143,8 @@ func TestFigure7InstanceCountsDecrease(t *testing.T) {
 	if tight < 2*widest {
 		t.Errorf("tight-I/O reuse should far exceed the widest constraint (got %d vs %d)", tight, widest)
 	}
+	checkGolden(t, "fig7", fig7Golden(rows))
+
 	var buf bytes.Buffer
 	PrintFigure7(&buf, rows)
 	if !strings.Contains(buf.String(), "Figure 7") {
