@@ -7,86 +7,107 @@ import (
 	"repro/internal/reuse"
 )
 
+// Matcher caps per block. Claiming keeps up to claimLimit matches.
+// Scoring only ranks candidates, so scoreLimit matches are enough, and
+// cuts over scoreMaxNodes are scored as unique without searching:
+// patterns that large essentially never repeat, and matching them is
+// where backtracking cost concentrates.
+const (
+	claimLimit    = 256
+	scoreLimit    = 64
+	scoreMaxNodes = 48
+)
+
+// schedule holds the ISE instances kept so far per block, in the order
+// they were kept. Contracting each to one atomic node gives an edge A→B
+// when B holds a node-level descendant of A, and a block is schedulable
+// while these edges form no cycle. Each kept A carries its closure set
+// CR(A): the node-level descendants of A and of every instance reachable
+// from A through instances kept before A.
+type schedule struct {
+	app   *ir.Application
+	kept  [][]keptInst
+	dry   bool // add logs the blocks it appends to in added
+	added []int
+}
+
+type keptInst struct{ nodes, cr *graph.BitSet }
+
+func newSchedule(app *ir.Application) schedule {
+	return schedule{app: app, kept: make([][]keptInst, len(app.Blocks))}
+}
+
+// add keeps the instance nodes (X) of block bi and reports true, unless X
+// would close a cycle. It scans the kept instances in order with cr =
+// desc(X): when cr meets A, X reaches A, so X is rejected if CR(A) meets
+// X and cr takes in CR(A) otherwise. A kept X gets cr as CR(X). DESIGN.md
+// ("Reuse matcher cost") shows why the scan is exact and earlier closure
+// sets never need updating.
+func (s *schedule) add(bi int, nodes *graph.BitSet) bool {
+	blk := s.app.Blocks[bi]
+	cr := graph.NewBitSet(blk.N())
+	nodes.ForEach(func(v int) bool {
+		cr.Or(blk.DAG().Desc(v))
+		return true
+	})
+	for _, a := range s.kept[bi] {
+		if cr.Intersects(a.nodes) {
+			if a.cr.Intersects(nodes) {
+				return false
+			}
+			cr.Or(a.cr)
+		}
+	}
+	if s.dry {
+		s.added = append(s.added, bi)
+	}
+	s.kept[bi] = append(s.kept[bi], keptInst{nodes, cr})
+	return true
+}
+
+// rollback drops every instance added since dry was set, and clears dry.
+func (s *schedule) rollback() {
+	for _, bi := range s.added {
+		s.kept[bi] = s.kept[bi][:len(s.kept[bi])-1]
+	}
+	s.added, s.dry = s.added[:0], false
+}
+
+// keep filters insts in place down to the ones add keeps, in order.
+func (s *schedule) keep(insts []reuse.Instance) []reuse.Instance {
+	kept := insts[:0]
+	for _, inst := range insts {
+		if s.add(inst.BlockIdx, inst.Nodes) {
+			kept = append(kept, inst)
+		}
+	}
+	return kept
+}
+
 // Claimer turns identified cuts into Selections by finding all isomorphic
 // instances of each cut across the application, claiming pairwise-disjoint
 // ones and rejecting instances that would create a dependency cycle
 // between atomic ISE executions. It is shared by the ISEGEN facade and by
 // the experiment harnesses (so the baselines get the same reuse treatment
 // as ISEGEN).
-type Claimer struct {
-	app  *ir.Application
-	kept map[int][]claimInfo
-	// PerBlockLimit bounds matcher results per block (0 = unlimited;
-	// the default from NewClaimer is 256).
-	PerBlockLimit int
-}
-
-type claimInfo struct {
-	nodes *graph.BitSet
-	desc  *graph.BitSet
-}
+type Claimer struct{ sched schedule }
 
 // NewClaimer returns a Claimer for the application.
 func NewClaimer(app *ir.Application) *Claimer {
-	return &Claimer{app: app, kept: map[int][]claimInfo{}, PerBlockLimit: 256}
+	return &Claimer{newSchedule(app)}
 }
 
-func (c *Claimer) reach(bi int, nodes *graph.BitSet) *graph.BitSet {
-	blk := c.app.Blocks[bi]
-	d := graph.NewBitSet(blk.N())
-	nodes.ForEach(func(v int) bool {
-		d.Or(blk.DAG().Desc(v))
-		return true
-	})
-	return d
-}
-
-// createsCycle reports whether adding an instance with the given node and
-// reach sets to the kept instances of one block would close a dependency
-// cycle among atomic ISE executions. Contraction edges A→B exist when some
-// node of B is (node-level) reachable from A; the candidate closes a cycle
-// when an instance it feeds reaches, through contraction edges, an
-// instance feeding it.
-func createsCycle(kept []claimInfo, nodes, desc *graph.BitSet) bool {
-	k := len(kept)
-	if k == 0 {
-		return false
+// claim matches cut (from block blockIdx) on the nodes not excluded plus
+// the seed occurrence, at most limit per block, and adds pairwise-disjoint
+// matches (the seed first) to the schedule, returning those it keeps.
+func (c *Claimer) claim(blockIdx int, cut *core.Cut, excluded []*graph.BitSet, limit int) []reuse.Instance {
+	avail := make([]*graph.BitSet, len(excluded))
+	for i, ex := range excluded {
+		avail[i] = ex.Complement()
 	}
-	var fedByCand, feedsCand []int
-	for i, ki := range kept {
-		if desc.Intersects(ki.nodes) {
-			fedByCand = append(fedByCand, i)
-		}
-		if ki.desc.Intersects(nodes) {
-			feedsCand = append(feedsCand, i)
-		}
-	}
-	if len(fedByCand) == 0 || len(feedsCand) == 0 {
-		return false
-	}
-	target := make([]bool, k)
-	for _, i := range feedsCand {
-		target[i] = true
-	}
-	seen := make([]bool, k)
-	queue := append([]int(nil), fedByCand...)
-	for _, i := range queue {
-		seen[i] = true
-	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		if target[i] {
-			return true
-		}
-		for j, kj := range kept {
-			if !seen[j] && kept[i].desc.Intersects(kj.nodes) {
-				seen[j] = true
-				queue = append(queue, j)
-			}
-		}
-	}
-	return false
+	avail[blockIdx].Or(cut.Nodes)
+	cands := reuse.FindAppInstances(c.sched.app, blockIdx, cut.Nodes, avail, limit)
+	return c.sched.keep(reuse.ClaimDisjoint(cands, blockIdx, cut.Nodes))
 }
 
 // Claim finds and claims the instances of cut (identified in block
@@ -96,70 +117,25 @@ func createsCycle(kept []claimInfo, nodes, desc *graph.BitSet) bool {
 // returned selection may be empty if even the seed occurrence would form a
 // dependency cycle.
 func (c *Claimer) Claim(blockIdx int, cut *core.Cut, excluded []*graph.BitSet) Selection {
-	avail := make([]*graph.BitSet, len(c.app.Blocks))
-	for i, ex := range excluded {
-		avail[i] = ex.Complement()
-	}
-	avail[blockIdx].Or(cut.Nodes) // the matcher must see the seed occurrence
-
-	cands := reuse.FindAppInstances(c.app, blockIdx, cut.Nodes, avail, c.PerBlockLimit)
-	picked := reuse.ClaimDisjoint(cands, blockIdx, cut.Nodes)
-
-	sel := Selection{Cut: cut}
-	for _, inst := range picked {
-		d := c.reach(inst.BlockIdx, inst.Nodes)
-		if createsCycle(c.kept[inst.BlockIdx], inst.Nodes, d) {
-			continue
-		}
-		c.kept[inst.BlockIdx] = append(c.kept[inst.BlockIdx], claimInfo{inst.Nodes, d})
-		sel.Instances = append(sel.Instances, inst)
+	insts := c.claim(blockIdx, cut, excluded, claimLimit)
+	for _, inst := range insts {
 		excluded[inst.BlockIdx].Or(inst.Nodes)
 	}
-	return sel
+	return Selection{Cut: cut, Instances: insts}
 }
 
 // CountInstances predicts, without claiming anything, how many disjoint
 // schedulable instances of the cut could be claimed given the current
-// excluded sets — the reuse-aware scoring primitive. Scoring is capped at
-// 64 matches per block (enough to rank candidates) and very large cuts
-// are assumed unique without searching: patterns beyond ~48 nodes
-// essentially never repeat, and matching them is where backtracking cost
-// concentrates.
+// excluded sets — the reuse-aware scoring primitive. It claims them on a
+// dry run of the schedule and rolls the claims back.
 func (c *Claimer) CountInstances(blockIdx int, cut *core.Cut, excluded []*graph.BitSet) int {
-	if cut.Size() > 48 {
+	if cut.Size() > scoreMaxNodes {
 		return 1
 	}
-	limit := c.PerBlockLimit
-	if limit == 0 || limit > 64 {
-		limit = 64
-	}
-	avail := make([]*graph.BitSet, len(c.app.Blocks))
-	for i, ex := range excluded {
-		avail[i] = ex.Complement()
-	}
-	avail[blockIdx].Or(cut.Nodes)
-	cands := reuse.FindAppInstances(c.app, blockIdx, cut.Nodes, avail, limit)
-	picked := reuse.ClaimDisjoint(cands, blockIdx, cut.Nodes)
-
-	// Simulate the cycle filter against shallow copies of the kept
-	// lists, so the real state is untouched.
-	tmp := map[int][]claimInfo{}
-	count := 0
-	for _, inst := range picked {
-		bi := inst.BlockIdx
-		kept, ok := tmp[bi]
-		if !ok {
-			kept = append([]claimInfo(nil), c.kept[bi]...)
-		}
-		d := c.reach(bi, inst.Nodes)
-		if createsCycle(kept, inst.Nodes, d) {
-			tmp[bi] = kept
-			continue
-		}
-		tmp[bi] = append(kept, claimInfo{inst.Nodes, d})
-		count++
-	}
-	return count
+	c.sched.dry = true
+	n := len(c.claim(blockIdx, cut, excluded, scoreLimit))
+	c.sched.rollback()
+	return n
 }
 
 // ClaimAllWithReuse converts a list of already-identified cuts (from any

@@ -126,29 +126,11 @@ func Evaluate(app *ir.Application, model *latency.Model, sels []Selection) (*Rep
 // kept when the contracted dependence graph over kept instances remains
 // acyclic. The returned selections share the surviving instances.
 func FilterSchedulable(app *ir.Application, sels []Selection) []Selection {
-	kept := map[int][]claimInfo{}
-	reach := func(bi int, nodes *graph.BitSet) *graph.BitSet {
-		blk := app.Blocks[bi]
-		d := graph.NewBitSet(blk.N())
-		nodes.ForEach(func(v int) bool {
-			d.Or(blk.DAG().Desc(v))
-			return true
-		})
-		return d
-	}
+	s := newSchedule(app)
 	out := make([]Selection, 0, len(sels))
 	for _, sel := range sels {
-		ns := Selection{Cut: sel.Cut}
-		for _, inst := range sel.Instances {
-			d := reach(inst.BlockIdx, inst.Nodes)
-			if createsCycle(kept[inst.BlockIdx], inst.Nodes, d) {
-				continue
-			}
-			kept[inst.BlockIdx] = append(kept[inst.BlockIdx], claimInfo{inst.Nodes, d})
-			ns.Instances = append(ns.Instances, inst)
-		}
-		if len(ns.Instances) > 0 {
-			out = append(out, ns)
+		if insts := s.keep(append([]reuse.Instance(nil), sel.Instances...)); len(insts) > 0 {
+			out = append(out, Selection{Cut: sel.Cut, Instances: insts})
 		}
 	}
 	return out

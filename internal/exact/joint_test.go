@@ -286,14 +286,13 @@ func TestJointWideInputs(t *testing.T) {
 	}
 }
 
-// TestExploredWithoutBudget: Explored and the exact_explored counter
-// report the same node count whether or not a Budget is set.
+// TestExploredWithoutBudget: the exact_explored counter reports the same
+// positive node count whether or not a Budget is set.
 func TestExploredWithoutBudget(t *testing.T) {
 	blk := kernelBlocksByName()["fbital00_alloc"]
-	run := func(budget int64, multi bool) (explored, counter int64) {
-		rec := obs.NewRecorder(0)
-		ctx := obs.WithRecorder(context.Background(), rec)
-		opt := Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Budget: budget, Explored: &explored}
+	run := func(budget int64, multi bool) int64 {
+		ctx, explored := countExplored()
+		opt := Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Budget: budget}
 		var err error
 		if multi {
 			_, err = MultiCutContext(ctx, blk, opt, 4)
@@ -303,14 +302,11 @@ func TestExploredWithoutBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return explored, rec.Counters().Get(obs.ExactExplored)
+		return explored()
 	}
 	for _, multi := range []bool{true, false} {
-		e0, c0 := run(0, multi)
-		e1, c1 := run(1<<40, multi)
-		if e0 <= 0 || e0 != e1 || c0 != e0 || c1 != e1 {
-			t.Errorf("multi %v: Explored/exact_explored = %d/%d unbudgeted, %d/%d budgeted; want equal and positive",
-				multi, e0, c0, e1, c1)
+		if e0, e1 := run(0, multi), run(1<<40, multi); e0 <= 0 || e0 != e1 {
+			t.Errorf("multi %v: exact_explored = %d unbudgeted, %d budgeted; want equal and positive", multi, e0, e1)
 		}
 	}
 }
@@ -320,17 +316,17 @@ func TestExploredWithoutBudget(t *testing.T) {
 // run with ErrBudget, and a pre-cancelled context with context.Canceled.
 func TestJointPreSearchLimits(t *testing.T) {
 	blk := kernelBlocksByName()["viterb00_acs"]
-	var explored int64
-	opt := Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Budget: 100, Explored: &explored}
-	if _, err := MultiCutContext(context.Background(), blk, opt, 4); !errors.Is(err, ErrBudget) {
+	opt := Options{MaxIn: 4, MaxOut: 2, Model: latency.Default(), Budget: 100}
+	rctx, explored := countExplored()
+	if _, err := MultiCutContext(rctx, blk, opt, 4); !errors.Is(err, ErrBudget) {
 		t.Fatalf("budget 100: err = %v, want ErrBudget", err)
 	}
-	if explored <= opt.Budget {
-		t.Fatalf("budget 100: explored %d, want the pre-searches' cost past the budget", explored)
+	if e := explored(); e <= opt.Budget {
+		t.Fatalf("budget 100: explored %d, want the pre-searches' cost past the budget", e)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt.Budget, explored = 0, 0
+	opt.Budget = 0
 	if _, err := MultiCutContext(ctx, blk, opt, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}

@@ -236,9 +236,6 @@ func MultiCutContext(ctx context.Context, blk *ir.Block, opt Options, nise int) 
 	s := newWorker(newJointTables(blk, &opt), &opt, nise, sh)
 	best, err := s.run(&opt)
 	sh.obsFlush(ctx)
-	if opt.Explored != nil {
-		*opt.Explored += sh.explored.Load()
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 )
+
+// countExplored returns a context that records counters and a function
+// reading the exact_explored count recorded through it so far.
+func countExplored() (context.Context, func() int64) {
+	rec := obs.NewRecorder(0)
+	return obs.WithRecorder(context.Background(), rec), func() int64 { return rec.Counters().Get(obs.ExactExplored) }
+}
 
 // summedMerit is the joint objective value of a multi-cut answer.
 func summedMerit(cuts []*core.Cut) float64 {
@@ -31,13 +39,12 @@ func TestSeedBoundDeterminism(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		blk := randKernelBlock(rng, 8+rng.Intn(12))
 		opt := defaultOpts()
-		var baseExplored int64
-		opt.Explored = &baseExplored
-		refSingle, err := SingleCutContext(context.Background(), blk, opt, nil)
+		baseCtx, baseExplored := countExplored()
+		refSingle, err := SingleCutContext(baseCtx, blk, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refMulti, err := MultiCutContext(context.Background(), blk, opt, 2)
+		refMulti, err := MultiCutContext(baseCtx, blk, opt, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,25 +57,24 @@ func TestSeedBoundDeterminism(t *testing.T) {
 			for _, w := range []int{0, 3} {
 				sopt := defaultOpts()
 				sopt.SeedBound, sopt.Workers = seed, w
-				var seededExplored int64
-				sopt.Explored = &seededExplored
+				ctx, seededExplored := countExplored()
 				if seed <= meritOrZero(refSingle) {
-					gotSingle, err := SingleCutContext(context.Background(), blk, sopt, nil)
+					gotSingle, err := SingleCutContext(ctx, blk, sopt, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameCut(t, "seeded single", refSingle, gotSingle)
 				}
 				if seed <= optimum {
-					gotMulti, err := MultiCutContext(context.Background(), blk, sopt, 2)
+					gotMulti, err := MultiCutContext(ctx, blk, sopt, 2)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameCuts(t, "seeded multi", refMulti, gotMulti)
 				}
-				if w == 0 && seededExplored > baseExplored {
+				if w == 0 && seededExplored() > baseExplored() {
 					t.Fatalf("seed %v explored %d nodes sequentially, unseeded only %d — seeding must never weaken pruning",
-						seed, seededExplored, baseExplored)
+						seed, seededExplored(), baseExplored())
 				}
 			}
 		}
@@ -96,21 +102,20 @@ func TestSeedBoundKernelSuite(t *testing.T) {
 		blk := spec.App.Blocks[0]
 		opt := defaultOpts()
 		opt.Budget = 2_000_000_000
-		var baseExplored int64
-		opt.Explored = &baseExplored
-		ref, err := MultiCutContext(context.Background(), blk, opt, 4)
+		baseCtx, base := countExplored()
+		ref, err := MultiCutContext(baseCtx, blk, opt, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
 		sopt := opt
 		sopt.SeedBound = summedMerit(ref)
-		var seededExplored int64
-		sopt.Explored = &seededExplored
-		got, err := MultiCutContext(context.Background(), blk, sopt, 4)
+		seededCtx, seeded := countExplored()
+		got, err := MultiCutContext(seededCtx, blk, sopt, 4)
 		if err != nil {
 			t.Fatalf("%s seeded: %v", spec.Name, err)
 		}
 		sameCuts(t, spec.Name, ref, got)
+		baseExplored, seededExplored := base(), seeded()
 		if seededExplored > baseExplored {
 			t.Fatalf("%s: optimum-seeded run explored %d nodes, unseeded %d — seeding must never weaken pruning",
 				spec.Name, seededExplored, baseExplored)

@@ -121,12 +121,6 @@ type Options struct {
 	// is SeedBound's: only publish merits some feasible assignment
 	// achieves. SeedBound, when also set, is folded into it at start.
 	Bound *Bound
-	// Explored, when non-nil, receives the run's total explored
-	// search-tree node count, budgeted or not, added once before the
-	// entry point returns (accumulating across the single-cut rounds of
-	// IterativeContext; MultiCutContext counts its pre-searches too).
-	// It feeds the service's seeded-vs-unseeded pruning metrics.
-	Explored *int64
 }
 
 // metricsOf resolves the costing function.
@@ -283,9 +277,6 @@ func SingleCutContext(ctx context.Context, blk *ir.Block, opt Options, excluded 
 	s := newSingleCutSearch(blk, opt, excluded, sh)
 	best, bestMerit, err := s.run()
 	sh.obsFlush(ctx)
-	if opt.Explored != nil {
-		*opt.Explored += sh.explored.Load()
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -82,10 +82,6 @@ type Stats struct {
 	// run examined — non-nil only under a multi-objective objective
 	// (see Pareto); nil for every scalar objective.
 	Frontier *Frontier
-	// Explored counts the branch-and-bound search-tree nodes the run
-	// explored (exact and racing engines; 0 elsewhere). Under a seeded
-	// bound it measures how much work the seed pruned away.
-	Explored int64
 	// Optimal marks answers carrying an optimality proof: the exact
 	// engines' completed runs and undeadlined racing runs. A racing run
 	// cut short by Limits.Deadline returns its best anytime answer with
@@ -209,11 +205,8 @@ func runExact(ctx context.Context, name string, solve func(context.Context, *ir.
 	}
 	ctx, sp := obs.StartSpan(ctx, obs.KindEngine, name)
 	defer sp.End()
-	var explored int64
-	opt.Explored = &explored
 	cuts, err := solve(ctx, blk, opt, lim.NISE)
-	return cuts, Stats{Engine: name, Cuts: len(cuts), Duration: time.Since(start),
-		Explored: explored, Optimal: err == nil}, err
+	return cuts, Stats{Engine: name, Cuts: len(cuts), Duration: time.Since(start), Optimal: err == nil}, err
 }
 
 // checkObjective rejects objectives no per-block engine can run with.

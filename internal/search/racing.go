@@ -203,13 +203,10 @@ func (e *Racing) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, 
 	const heurRacers = 2
 
 	// The exact racer, pruning against the shared (heuristic-raised) bound.
-	var explored int64
 	opt.Bound = bound
-	opt.Explored = &explored
 	cuts, exactErr := exact.MultiCutContext(raceCtx, blk, opt, lim.NISE)
 
 	finish := func(optimal bool) Stats {
-		stats.Explored = explored
 		stats.Optimal = optimal
 		stats.Cuts = len(cuts)
 		stats.Duration = time.Since(start)

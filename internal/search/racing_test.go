@@ -18,13 +18,13 @@ import (
 	"repro/internal/obs"
 )
 
-// runSeedsRecorded runs the racer with a counters-only recorder attached
-// and also returns its racing_seed_publications count: how many heuristic
-// answers tightened the exact search's bound.
-func runSeedsRecorded(racer *Racing, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, int64, error) {
+// runRecorded runs the engine with a counters-only recorder attached and
+// also returns its counters, e.g. racing_seed_publications (how many
+// heuristic answers tightened the exact search's bound) and exact_explored.
+func runRecorded(eng Engine, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, obs.CounterSnapshot, error) {
 	rec := obs.NewRecorder(0)
-	cuts, stats, err := racer.RunContext(obs.WithRecorder(context.Background(), rec), blk, obj, lim)
-	return cuts, stats, rec.Counters().Get(obs.RacingSeeds), err
+	cuts, stats, err := eng.RunContext(obs.WithRecorder(context.Background(), rec), blk, obj, lim)
+	return cuts, stats, rec.Counters(), err
 }
 
 // racingFingerprint serializes a result for bit-identity checks.
@@ -129,7 +129,7 @@ func TestRacingEquivalence(t *testing.T) {
 				racer := &Racing{Cache: NewCostCache(), OnEvent: func(ev RaceEvent) { events = append(events, ev) }}
 				lim := baseLim
 				lim.Workers, lim.SubtreeWorkers = klW, subW
-				cuts, stats, err := racer.RunContext(context.Background(), blk, obj, &lim)
+				cuts, stats, cs, err := runRecorded(racer, blk, obj, &lim)
 				label := fmt.Sprintf("%s klW=%d subW=%d", spec.Name, klW, subW)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -140,8 +140,8 @@ func TestRacingEquivalence(t *testing.T) {
 				if !stats.Optimal {
 					t.Fatalf("%s: undeadlined racing run not marked Optimal", label)
 				}
-				if stats.Explored <= 0 {
-					t.Fatalf("%s: Explored = %d, want > 0", label, stats.Explored)
+				if e := cs.Get(obs.ExactExplored); e <= 0 {
+					t.Fatalf("%s: exact_explored = %d, want > 0", label, e)
 				}
 				checkRaceStream(t, label, events)
 				if len(events) == 0 || events[len(events)-1].Stage != "optimal" {
@@ -168,23 +168,22 @@ func TestRacingSeedObserved(t *testing.T) {
 		blk := racingRandBlock(rng, 16+rng.Intn(6))
 		lim := Limits{MaxIn: 4, MaxOut: 2, NISE: 4, Budget: DefaultBudget}
 		exactEng := &ExactJoint{}
-		refCuts, refStats, err := exactEng.RunContext(context.Background(), blk, obj, &lim)
+		refCuts, _, refCs, err := runRecorded(exactEng, blk, obj, &lim)
 		if err != nil {
 			t.Fatal(err)
 		}
 		racer := &Racing{Cache: NewCostCache()}
-		cuts, stats, seeds, err := runSeedsRecorded(racer, blk, obj, &lim)
+		cuts, _, cs, err := runRecorded(racer, blk, obj, &lim)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if racingFingerprint(cuts) != racingFingerprint(refCuts) {
 			t.Fatalf("trial %d: racing diverged from exact", trial)
 		}
-		if seeds > 0 {
+		if cs.Get(obs.RacingSeeds) > 0 {
 			seeded = true
-			if stats.Explored > refStats.Explored {
-				t.Fatalf("trial %d: seeded race explored %d nodes, unseeded exact %d",
-					trial, stats.Explored, refStats.Explored)
+			if e, ref := cs.Get(obs.ExactExplored), refCs.Get(obs.ExactExplored); e > ref {
+				t.Fatalf("trial %d: seeded race explored %d nodes, unseeded exact %d", trial, e, ref)
 			}
 		}
 	}
@@ -291,7 +290,7 @@ func TestRacingExactWinsGated(t *testing.T) {
 		}
 	}
 	racer.gate = func() { <-gate }
-	cuts, stats, seeds, err := runSeedsRecorded(racer, blk, obj, lim)
+	cuts, stats, cs, err := runRecorded(racer, blk, obj, lim)
 	if err != nil {
 		t.Fatalf("%s: %v", spec.Name, err)
 	}
@@ -301,7 +300,7 @@ func TestRacingExactWinsGated(t *testing.T) {
 	if !stats.Optimal {
 		t.Fatal("exact-won race not marked Optimal")
 	}
-	if seeds != 0 {
+	if seeds := cs.Get(obs.RacingSeeds); seeds != 0 {
 		t.Fatalf("K-L never ran, yet racing_seed_publications = %d", seeds)
 	}
 	if len(events) != 1 || events[0].Stage != "optimal" {

@@ -456,7 +456,7 @@ func ExactMultiCut(blk *Block, opt ExactOptions, nise int) ([]*Cut, error) {
 
 // ExactMultiCutContext is ExactMultiCut with in-block cancellation. Every
 // ExactOptions field is honored, including the anytime-seeding fields
-// (SeedBound, Bound, Explored) the racing engine uses.
+// (SeedBound, Bound) the racing engine uses.
 func ExactMultiCutContext(ctx context.Context, blk *Block, opt ExactOptions, nise int) ([]*Cut, error) {
 	return exact.MultiCutContext(ctx, blk, opt, nise)
 }
