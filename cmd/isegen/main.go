@@ -14,8 +14,8 @@
 // the objective registry; -gate-penalty, -latency-budget, -class-weights
 // and -max-frontier parameterize it), the port constraints (-in, -out),
 // the AFU budget (-nise), the worker-pool size (-workers), the exact
-// engines' in-block branch-and-bound pool (-subtree-workers, -split-depth;
-// results are bit-identical for every value) and optional DOT output
+// engines' in-block branch-and-bound pool (-subtree-workers; results are
+// bit-identical for every value) and optional DOT output
 // highlighting the cuts (-dot file).
 //
 // -algo racing races K-L and the genetic baseline against the exact
@@ -91,7 +91,6 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		seed        = fs.Int64("seed", 1, "random seed for the genetic algorithm")
 		workers     = fs.Int("workers", 0, "worker pool size (0 = one per CPU core; results are identical)")
 		subWorkers  = fs.Int("subtree-workers", 0, "exact engines: in-block branch-and-bound workers (0/1 = single-threaded, -1 = one per CPU core; in-budget runs are identical)")
-		splitDepth  = fs.Int("split-depth", 0, "exact engines: decision depth of the subtree split (0 = automatic; results are identical)")
 		deadline    = fs.Duration("deadline", 0, "racing engine: per-block wall-clock bound (e.g. 200ms; 0 = none) — on expiry the best anytime answer so far is returned instead of the proven optimum")
 		dotFile     = fs.String("dot", "", "write a Graphviz rendering of the first block with cuts highlighted")
 		noReuse     = fs.Bool("noreuse", false, "disable reuse matching (each cut counts once)")
@@ -119,8 +118,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	p := service.Params{
 		Algo: *algo, MaxIn: *maxIn, MaxOut: *maxOut, NISE: *nise,
 		Seed: *seed, Workers: *workers, Reuse: !*noReuse,
-		SubtreeWorkers: *subWorkers, SplitDepth: *splitDepth,
-		Deadline:  *deadline,
+		SubtreeWorkers: *subWorkers, Deadline: *deadline,
 		Objective: *objective, GatePenalty: *gatePenalty,
 		LatencyBudget: *latBudget, ClassWeights: weights,
 		MaxFrontier: *maxFrontier,

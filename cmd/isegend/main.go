@@ -10,9 +10,9 @@
 //	     body: .dfg text; optional X-Tenant header (or ?tenant=) for
 //	     budget accounting. Response: NDJSON — one "block" record per
 //	     basic block in block order, then one "summary" record.
-//	     &subtree_workers= and &split_depth= (exact engines, including
-//	     racing) fan the branch-and-bound out inside each block on a
-//	     shared best-bound — results stay bit-identical for every value;
+//	     &subtree_workers= (exact engines, including racing) fans the
+//	     branch-and-bound out inside each block on a shared best-bound —
+//	     results stay bit-identical for every value;
 //	     &max_frontier= (objective=pareto only) bounds the frontier
 //	     record with deterministic eviction.
 //	     algo=racing races K-L and the genetic baseline against the

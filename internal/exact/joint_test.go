@@ -357,13 +357,13 @@ func TestJointNISE1(t *testing.T) {
 			if got := opt.Bound.Best(); got != single.Merit() {
 				t.Errorf("%s: Bound %v after the run, want %v", label, got, single.Merit())
 			}
-			seeded := Options{MaxIn: io[0], MaxOut: io[1], Model: latency.Default(), SeedBound: single.Merit()}
+			seeded := Options{MaxIn: io[0], MaxOut: io[1], Model: latency.Default(), Bound: raisedBound(single.Merit())}
 			again, err := MultiCutContext(context.Background(), blk, seeded, 1)
 			if err != nil {
 				t.Fatalf("%s seeded: %v", label, err)
 			}
 			sameCuts(t, label+" seeded at the optimum", cuts, again)
-			seeded.SeedBound, seeded.Workers = 0, 3
+			seeded.Bound, seeded.Workers = nil, 3
 			par, err := MultiCutContext(context.Background(), blk, seeded, 1)
 			if err != nil {
 				t.Fatalf("%s workers 3: %v", label, err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -232,7 +233,6 @@ func MultiCutContext(ctx context.Context, blk *ir.Block, opt Options, nise int) 
 	ctx, sp := obs.StartSpan(ctx, obs.KindSearch, "multi-cut")
 	defer sp.End()
 	sh := newSharedBound(ctx, opt.Budget, opt.Bound)
-	sh.bound.Raise(opt.SeedBound)
 	s := newWorker(newJointTables(blk, &opt), &opt, nise, sh)
 	best, err := s.run(&opt)
 	sh.obsFlush(ctx)
@@ -248,7 +248,7 @@ func MultiCutContext(ctx context.Context, blk *ir.Block, opt Options, nise int) 
 		for ; w != 0; w &= w - 1 {
 			b.Set(bits.TrailingZeros64(w))
 		}
-		m := opt.metricsOf()(blk, opt.Model, b)
+		m := core.MetricsOf(blk, opt.Model, b)
 		cuts = append(cuts, &core.Cut{
 			Block: blk, Nodes: b,
 			NumIn: m.NumIn, NumOut: m.NumOut, SWLat: m.SWLat, HWLat: m.HWLat,
@@ -309,10 +309,9 @@ func (s *multiCutSearch) singleCutOptima() (first uint64, ran bool, err error) {
 	return first, true, pre.err()
 }
 
-// run drives the joint search after the single-cut pre-searches:
-// single-threaded, or split + fan-out + deterministic merge (see
-// singleCutSearch.run; the same three phases). At NISE 1 the pre-searches
-// have already found the answer, so no joint search follows them.
+// run drives the joint search after the single-cut pre-searches through
+// runSplit. At NISE 1 the pre-searches have already found the answer, so
+// no joint search follows them.
 func (s *multiCutSearch) run(opt *Options) ([]uint64, error) {
 	first, ran, err := s.singleCutOptima()
 	if err != nil {
@@ -325,61 +324,21 @@ func (s *multiCutSearch) run(opt *Options) ([]uint64, error) {
 		s.best[0] = first
 		return s.best, nil
 	}
-	n := len(s.order)
 	nise := len(s.slots)
-	w := opt.workersOf()
-	d := splitDepthFor(opt.SplitDepth, w, n, nise+1)
-	if w <= 1 || d < 1 || n < 4 {
-		s.search(0)
-		s.flush()
-		if err := s.sh.err(); err != nil {
-			return nil, err
-		}
-		return s.best, nil
-	}
-
-	var tasks [][]byte
-	s.splitAt = d
-	s.collect = func(p []byte) { tasks = append(tasks, p) }
-	s.search(0)
-	s.collect = nil
-	s.flush()
-	if err := s.sh.err(); err != nil {
-		return nil, err
-	}
-	if len(tasks) == 0 {
-		return s.best, nil
-	}
-
-	type result struct {
-		tot   float64
-		nodes []uint64
-	}
-	results := make([]result, len(tasks))
-	runSubtrees(s.sh, w, len(tasks), func() func(ti int) {
-		ws := newWorker(s.jointTables, opt, nise, s.sh)
-		return func(ti int) {
-			ws.path = tasks[ti]
-			ws.bestTot = 0
-			ws.search(0)
-			ws.flush()
-			if !ws.stopped && ws.bestTot > 0 {
-				results[ti] = result{tot: ws.bestTot, nodes: append([]uint64(nil), ws.best...)}
-			}
-		}
+	return runSplit[[]uint64](s, len(s.order), nise+1, opt.workersOf(), func() *multiCutSearch {
+		return newWorker(s.jointTables, opt, nise, s.sh)
 	})
-	if err := s.sh.err(); err != nil {
-		return nil, err
-	}
+}
 
-	var best []uint64
-	bestTot := 0.0
-	for _, r := range results {
-		if r.nodes != nil && r.tot > bestTot {
-			bestTot, best = r.tot, r.nodes
-		}
+// takeBest implements splitSearch: a copy of the best cuts and their
+// summed merit.
+func (s *multiCutSearch) takeBest() ([]uint64, float64) {
+	t := s.bestTot
+	if t <= 0 {
+		return nil, 0
 	}
-	return best, nil
+	s.bestTot = 0
+	return slices.Clone(s.best), t
 }
 
 func (s *multiCutSearch) search(i int) {

@@ -48,8 +48,14 @@ func (b *Bound) Best() float64 {
 // Raise publishes merit m if it improves the bound and reports whether it
 // did (CAS loop; lost races retry against the new value, so the bound is
 // monotone). Safe to call from any goroutine, including while a search
-// pruning against the bound is running.
+// pruning against the bound is running. A NaN, infinite or negative m is
+// the merit of no feasible assignment and is ignored: +Inf would prune
+// every subtree, so the search would return no cuts and no error, and NaN
+// would poison the comparisons.
 func (b *Bound) Raise(m float64) bool {
+	if m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
+		return false
+	}
 	for {
 		cur := b.merit.Load()
 		if m <= math.Float64frombits(cur) {
@@ -148,23 +154,22 @@ func (sh *sharedBound) err() error {
 	return nil
 }
 
-// maxSubtreeTasks bounds the phase-1 task list. The split depth — the
-// explicit option included, since it is remotely settable through the
-// service's split_depth parameter — is clamped so branching^depth cannot
-// exceed it, keeping enumeration memory O(maxSubtreeTasks · depth) no
-// matter what depth is requested; an unclamped depth would let one
-// request materialize an exponential prefix list before the budget could
-// abort it. Results are identical for every depth, so clamping is purely
-// a resource bound.
+// maxSubtreeTasks bounds the phase-1 task list. The split depth is
+// clamped so branching^depth cannot exceed it, keeping enumeration memory
+// O(maxSubtreeTasks · depth) however many workers are requested (the
+// service's subtree_workers parameter is remotely settable); an unclamped
+// depth would let one request materialize an exponential prefix list
+// before the budget could abort it. Results are identical for every
+// depth, so clamping is purely a resource bound.
 const maxSubtreeTasks = 4096
 
-// splitDepthFor resolves the subtree-split depth: the explicit option
-// when set, otherwise deep enough for ~4-8 tasks per worker (load balance
-// when subtree sizes are skewed, which pruning guarantees). branching is
-// the maximum decisions per tree level (2 for the single-cut search,
-// nise+1 for the joint search); every result is clamped to the
-// maxSubtreeTasks bound and inside the decision sequence.
-func splitDepthFor(opt, workers, n, branching int) int {
+// splitDepthFor resolves the subtree-split depth: deep enough for ~4-8
+// tasks per worker (load balance when subtree sizes are skewed, which
+// pruning guarantees). branching is the maximum decisions per tree level
+// (2 for the single-cut search, nise+1 for the joint search); the depth
+// is clamped to the maxSubtreeTasks bound and inside the decision
+// sequence.
+func splitDepthFor(workers, n, branching int) int {
 	if branching < 2 {
 		branching = 2
 	}
@@ -172,13 +177,7 @@ func splitDepthFor(opt, workers, n, branching int) int {
 	for t := 1; t <= maxSubtreeTasks/branching; t *= branching {
 		maxDepth++
 	}
-	d := opt
-	if d <= 0 {
-		d = bits.Len(uint(workers)) + 2
-	}
-	if d > maxDepth {
-		d = maxDepth
-	}
+	d := min(bits.Len(uint(workers))+2, maxDepth)
 	if d > n-1 {
 		d = n - 1
 	}
@@ -257,12 +256,95 @@ func (c *searchCtl) flush() bool {
 	return c.stopped
 }
 
-// runSubtrees drains the enumerated prefix tasks on w workers. forkRun is
-// called with (worker-private state index irrelevant) one task index at a
-// time; implementations replay the prefix on private state and record the
-// subtree result into their slot. A panic in any worker is re-raised on
-// the calling goroutine after the pool drains, matching the containment
-// semantics of the search layer's parallelFor.
+// ctl returns the control state itself; the worker types embed searchCtl,
+// so it is how runSplit reaches theirs.
+func (c *searchCtl) ctl() *searchCtl { return c }
+
+// splitSearch is one branch-and-bound worker as runSplit drives it: its
+// control state, its search kernel, and takeBest, which returns a copy of
+// the worker's first-best assignment with its merit (R's zero value and 0
+// when it has none) and resets that merit to 0, so the worker's next
+// subtree task records its own first-best.
+type splitSearch[R any] interface {
+	ctl() *searchCtl
+	search(i int)
+	takeBest() (R, float64)
+}
+
+// runSplit runs one branch-and-bound from root over a decision sequence of
+// length n with at most branching decisions per level, and returns the
+// best assignment (R's zero value when none has positive merit). With
+// w <= 1 workers, or a tree too small to split, root searches alone.
+// Otherwise the run has three phases:
+//
+//  1. root enumerates the decision prefixes at splitDepthFor's depth —
+//     the subtree tasks, in DFS order (include before exclude, exactly
+//     the sequential visit order, which is what makes the merge
+//     tie-break reproduce the sequential winner);
+//  2. runSubtrees drains them on w workers made by fork; each replays a
+//     task's prefix on private state, explores its subtree pruning
+//     against the shared bound, and records its local first-best;
+//  3. the first task in prefix order achieving the maximum merit wins,
+//     matching the sequential first-improvement rule.
+func runSplit[R any, S splitSearch[R]](root S, n, branching, w int, fork func() S) (R, error) {
+	var none R
+	c := root.ctl()
+	d := splitDepthFor(w, n, branching)
+	if w <= 1 || d < 1 || n < 4 {
+		root.search(0)
+		c.flush()
+		if err := c.sh.err(); err != nil {
+			return none, err
+		}
+		best, _ := root.takeBest()
+		return best, nil
+	}
+
+	var tasks [][]byte
+	c.splitAt = d
+	c.collect = func(p []byte) { tasks = append(tasks, p) }
+	root.search(0)
+	c.collect = nil
+	c.flush()
+	if err := c.sh.err(); err != nil {
+		return none, err
+	}
+
+	type result struct {
+		best  R
+		merit float64
+	}
+	results := make([]result, len(tasks))
+	runSubtrees(c.sh, w, len(tasks), func() func(ti int) {
+		ws := fork()
+		wc := ws.ctl()
+		return func(ti int) {
+			wc.path = tasks[ti]
+			ws.search(0)
+			wc.flush()
+			if best, merit := ws.takeBest(); !wc.stopped && merit > 0 {
+				results[ti] = result{best, merit}
+			}
+		}
+	})
+	if err := c.sh.err(); err != nil {
+		return none, err
+	}
+
+	best, bestMerit := none, 0.0
+	for _, r := range results {
+		if r.merit > bestMerit {
+			best, bestMerit = r.best, r.merit
+		}
+	}
+	return best, nil
+}
+
+// runSubtrees drains the enumerated prefix tasks on w workers. Each
+// worker calls newWorker once for its private state, then runs one task
+// index at a time. A panic in any worker is re-raised on the calling
+// goroutine after the pool drains, matching the containment semantics of
+// the search layer's parallelFor.
 func runSubtrees(sh *sharedBound, w, tasks int, newWorker func() func(ti int)) {
 	if w > tasks {
 		w = tasks

@@ -42,13 +42,12 @@ func sameCuts(t *testing.T, label string, seq, par []*core.Cut) {
 }
 
 // TestParallelExactDeterminism pins the tentpole contract: the parallel
-// branch-and-bound (shared best-bound, subtree split at any depth, any
-// worker count) returns cuts bit-identical to the sequential search, for
+// branch-and-bound (shared best-bound, any worker count, so split depths
+// from 4 to 9) returns cuts bit-identical to the sequential search, for
 // SingleCut, Iterative and MultiCut alike. Run under -race in CI.
 func TestParallelExactDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	workers := []int{2, 3, 8}
-	depths := []int{0, 2, 5}
+	workers := []int{2, 3, 8, 64}
 	for trial := 0; trial < 12; trial++ {
 		blk := randKernelBlock(rng, 8+rng.Intn(12))
 		opt := defaultOpts()
@@ -65,25 +64,23 @@ func TestParallelExactDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range workers {
-			for _, d := range depths {
-				popt := opt
-				popt.Workers, popt.SplitDepth = w, d
-				parSingle, err := SingleCutContext(context.Background(), blk, popt, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameCut(t, "single", seqSingle, parSingle)
-				parIter, err := IterativeContext(context.Background(), blk, popt, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameCuts(t, "iterative", seqIter, parIter)
-				parMulti, err := MultiCutContext(context.Background(), blk, popt, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameCuts(t, "multi", seqMulti, parMulti)
+			popt := opt
+			popt.Workers = w
+			parSingle, err := SingleCutContext(context.Background(), blk, popt, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sameCut(t, "single", seqSingle, parSingle)
+			parIter, err := IterativeContext(context.Background(), blk, popt, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCuts(t, "iterative", seqIter, parIter)
+			parMulti, err := MultiCutContext(context.Background(), blk, popt, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCuts(t, "multi", seqMulti, parMulti)
 		}
 	}
 }
@@ -229,13 +226,13 @@ func TestExcludedRespectedParallel(t *testing.T) {
 	}
 }
 
-// TestSplitDepthClamped pins the resource bound on the task list: even an
-// absurd explicit SplitDepth (remotely settable through the service) is
-// clamped so the prefix enumeration stays small, and results still match
-// the sequential search.
-func TestSplitDepthClamped(t *testing.T) {
+// TestSubtreeDepthClamped pins the resource bound on the task list: even
+// an absurd worker count (remotely settable through the service's
+// subtree_workers) yields a split depth clamped so the prefix enumeration
+// stays small, and results still match the sequential search.
+func TestSubtreeDepthClamped(t *testing.T) {
 	for branching, wantMax := 2, 12; branching <= 5; branching++ {
-		d := splitDepthFor(30, 4, 1000, branching)
+		d := splitDepthFor(1<<30, 1000, branching)
 		if d > wantMax {
 			t.Fatalf("splitDepthFor(branching %d) = %d, beyond the task bound", branching, d)
 		}
@@ -254,14 +251,14 @@ func TestSplitDepthClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Workers, opt.SplitDepth = 4, 1<<20
+	opt.Workers = 1 << 10 // automatic depth 13, past the clamp for every branching
 	par, err := SingleCutContext(context.Background(), blk, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameCut(t, "clamped-depth", seq, par)
 	popt := defaultOpts()
-	popt.Workers, popt.SplitDepth = 4, 1<<20
+	popt.Workers = 1 << 10
 	multiSeq, err := MultiCutContext(context.Background(), blk, defaultOpts(), 2)
 	if err != nil {
 		t.Fatal(err)

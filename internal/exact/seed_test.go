@@ -2,6 +2,7 @@ package exact
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -29,12 +30,20 @@ func summedMerit(cuts []*core.Cut) float64 {
 	return t
 }
 
-// TestSeedBoundDeterminism pins the seeding contract: pre-loading the
+// raisedBound returns a fresh Bound already raised to m: passed as
+// Options.Bound it seeds a run with m.
+func raisedBound(m float64) *Bound {
+	b := NewBound()
+	b.Raise(m)
+	return b
+}
+
+// TestSeededBoundDeterminism pins the seeding contract: pre-raising the
 // best-bound with any merit <= the optimum (including the optimum itself,
 // the tightest sound seed) leaves SingleCut and MultiCut bit-identical to
 // the unseeded run, sequentially and across subtree worker counts, while
 // never exploring more nodes on the sequential schedule.
-func TestSeedBoundDeterminism(t *testing.T) {
+func TestSeededBoundDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 12; trial++ {
 		blk := randKernelBlock(rng, 8+rng.Intn(12))
@@ -56,9 +65,10 @@ func TestSeedBoundDeterminism(t *testing.T) {
 		for _, seed := range seeds {
 			for _, w := range []int{0, 3} {
 				sopt := defaultOpts()
-				sopt.SeedBound, sopt.Workers = seed, w
+				sopt.Workers = w
 				ctx, seededExplored := countExplored()
 				if seed <= meritOrZero(refSingle) {
+					sopt.Bound = raisedBound(seed)
 					gotSingle, err := SingleCutContext(ctx, blk, sopt, nil)
 					if err != nil {
 						t.Fatal(err)
@@ -66,6 +76,7 @@ func TestSeedBoundDeterminism(t *testing.T) {
 					sameCut(t, "seeded single", refSingle, gotSingle)
 				}
 				if seed <= optimum {
+					sopt.Bound = raisedBound(seed)
 					gotMulti, err := MultiCutContext(ctx, blk, sopt, 2)
 					if err != nil {
 						t.Fatal(err)
@@ -88,12 +99,12 @@ func meritOrZero(c *core.Cut) float64 {
 	return c.Merit()
 }
 
-// TestSeedBoundKernelSuite runs the seeded-vs-unseeded identity on the
+// TestSeededBoundKernelSuite runs the seeded-vs-unseeded identity on the
 // real benchmark blocks within the joint search's size limit, seeding with
 // the true optimum, and checks the seed actually prunes: never more
 // explored nodes per kernel, strictly fewer over the suite (the tiniest
 // blocks have nothing left to prune, so the strict claim is aggregate).
-func TestSeedBoundKernelSuite(t *testing.T) {
+func TestSeededBoundKernelSuite(t *testing.T) {
 	var totalBase, totalSeeded int64
 	for _, spec := range kernels.All() {
 		if spec.CriticalSize > 25 {
@@ -108,7 +119,7 @@ func TestSeedBoundKernelSuite(t *testing.T) {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
 		sopt := opt
-		sopt.SeedBound = summedMerit(ref)
+		sopt.Bound = raisedBound(summedMerit(ref))
 		seededCtx, seeded := countExplored()
 		got, err := MultiCutContext(seededCtx, blk, sopt, 4)
 		if err != nil {
@@ -199,32 +210,54 @@ func TestBoundMonotone(t *testing.T) {
 func TestIterativeSeedRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	blk := randKernelBlock(rng, 10)
-	opt := defaultOpts()
-	opt.SeedBound = 1
-	if _, err := IterativeContext(context.Background(), blk, opt, 2); err == nil || !strings.Contains(err.Error(), "bound-seeded") {
-		t.Fatalf("SeedBound on Iterative: err = %v, want bound-seeded rejection", err)
-	}
-	opt = defaultOpts()
-	opt.Bound = NewBound()
-	if _, err := IterativeContext(context.Background(), blk, opt, 2); err == nil || !strings.Contains(err.Error(), "bound-seeded") {
-		t.Fatalf("Bound on Iterative: err = %v, want bound-seeded rejection", err)
+	for _, b := range []*Bound{raisedBound(1), NewBound()} {
+		opt := defaultOpts()
+		opt.Bound = b
+		if _, err := IterativeContext(context.Background(), blk, opt, 2); err == nil || !strings.Contains(err.Error(), "bound-seeded") {
+			t.Fatalf("Bound %v on Iterative: err = %v, want bound-seeded rejection", b.Best(), err)
+		}
 	}
 }
 
-// TestSeedBoundValidation: seeds that are not the merit of any feasible
-// assignment by construction (negative, NaN, infinite) are rejected up
-// front on both entry points.
-func TestSeedBoundValidation(t *testing.T) {
+// TestBoundRaiseIgnoresBadMerits: values that are the merit of no
+// feasible assignment (negative, NaN, infinite) never move a Bound, so a
+// search seeded through one still finds the unseeded answer — a +Inf that
+// got through would prune every subtree and return no cuts, no error.
+func TestBoundRaiseIgnoresBadMerits(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	blk := randKernelBlock(rng, 8)
+	refSingle, err := SingleCutContext(context.Background(), blk, defaultOpts(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refMulti, err := MultiCutContext(context.Background(), blk, defaultOpts(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refSingle == nil {
+		t.Fatal("fixture block has no positive-merit cut")
+	}
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := NewBound()
+		if b.Raise(bad) || b.Best() != 0 {
+			t.Fatalf("Raise(%v) on a fresh bound: Best = %v, want 0 and no raise", bad, b.Best())
+		}
+		b.Raise(2)
+		if b.Raise(bad) || b.Best() != 2 {
+			t.Fatalf("Raise(%v) on a bound at 2: Best = %v, want 2 and no raise", bad, b.Best())
+		}
 		opt := defaultOpts()
-		opt.SeedBound = bad
-		if _, err := SingleCutContext(context.Background(), blk, opt, nil); err == nil {
-			t.Fatalf("SingleCut accepted SeedBound %v", bad)
+		opt.Bound = raisedBound(bad)
+		gotSingle, err := SingleCutContext(context.Background(), blk, opt, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := MultiCutContext(context.Background(), blk, opt, 2); err == nil {
-			t.Fatalf("MultiCut accepted SeedBound %v", bad)
+		sameCut(t, fmt.Sprintf("single after Raise(%v)", bad), refSingle, gotSingle)
+		opt.Bound = raisedBound(bad)
+		gotMulti, err := MultiCutContext(context.Background(), blk, opt, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameCuts(t, fmt.Sprintf("multi after Raise(%v)", bad), refMulti, gotMulti)
 	}
 }

@@ -36,7 +36,7 @@
 // AES (696 nodes).
 //
 // With Options.Workers > 1 the branch-and-bound fans out inside the block:
-// the reverse-topological decision tree is split at a configurable depth
+// the reverse-topological decision tree is split at an automatic depth
 // into independent subtree tasks that run on a bounded worker pool against
 // a shared atomic best-bound. Cross-subtree pruning is strict (ub < bound)
 // while local pruning keeps the sequential rule (ub <= best), and winners
@@ -50,7 +50,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 
 	"repro/internal/core"
@@ -92,43 +91,22 @@ type Options struct {
 	// Budget for the boundary carve-out). A negative value selects one
 	// worker per CPU core.
 	Workers int
-	// SplitDepth is the decision depth at which the tree is split into
-	// subtree tasks (parallel search only; 0 picks a depth yielding a
-	// few tasks per worker). Results are identical for every depth.
-	SplitDepth int
-	// Metrics costs the finished (winning) cuts — it is not on the
-	// branch-and-bound hot path, which keeps its own incremental
-	// bookkeeping. The search layer installs its shared memoized cache
-	// here so exact winners land in (and are served from) the same
-	// cache the other engines cost cuts through.
-	Metrics core.MetricsFunc
-	// SeedBound pre-loads the shared best-bound before the search starts
-	// (0 = unseeded). It MUST be a merit some feasible assignment of the
-	// search actually achieves (e.g. the summed merit of K-L's disjoint
-	// feasible cuts for MultiCutContext): pruning against the bound is strict
-	// (ub < bound), so any seed <= the optimum leaves the result
-	// bit-identical to an unseeded run while pruning strictly-worse
-	// subtrees from step one. A seed above the optimum silently discards
-	// the optimum. Explored-node counts DO change with the seed, so a run
-	// sitting near the Budget boundary may complete seeded and return
-	// ErrBudget unseeded (or vice versa) — the bit-identical guarantee is
-	// for runs that complete within budget.
-	SeedBound float64
-	// Bound, when non-nil, is the run's shared best-bound object itself:
-	// external producers may keep raising it (Bound.Raise) while the
-	// search runs, tightening the pruning mid-flight through the same CAS
-	// path the search's own workers publish through. The soundness rule
-	// is SeedBound's: only publish merits some feasible assignment
-	// achieves. SeedBound, when also set, is folded into it at start.
+	// Bound, when non-nil, is the run's shared best-bound object itself
+	// (nil = a private bound starting at 0). Raising it before the run
+	// seeds the search; external producers may keep raising it
+	// (Bound.Raise) while the search runs, tightening the pruning
+	// mid-flight through the same CAS path the search's own workers
+	// publish through. Only publish a merit some feasible assignment of
+	// the search actually achieves (e.g. the summed merit of K-L's
+	// disjoint feasible cuts for MultiCutContext): pruning against the
+	// bound is strict (ub < bound), so any merit <= the optimum leaves
+	// the result bit-identical to an unseeded run while pruning
+	// strictly-worse subtrees, and a merit above the optimum silently
+	// discards the optimum. Explored-node counts DO change with the
+	// bound, so a run sitting near the Budget boundary may complete
+	// seeded and return ErrBudget unseeded (or vice versa) — the
+	// bit-identical guarantee is for runs that complete within budget.
 	Bound *Bound
-}
-
-// metricsOf resolves the costing function.
-func (o *Options) metricsOf() core.MetricsFunc {
-	if o.Metrics != nil {
-		return o.Metrics
-	}
-	return core.MetricsOf
 }
 
 // workersOf resolves the subtree worker count: <= 1 is the sequential
@@ -273,20 +251,16 @@ func SingleCutContext(ctx context.Context, blk *ir.Block, opt Options, excluded 
 	ctx, sp := obs.StartSpan(ctx, obs.KindSearch, "single-cut")
 	defer sp.End()
 	sh := newSharedBound(ctx, opt.Budget, opt.Bound)
-	sh.bound.Raise(opt.SeedBound)
 	s := newSingleCutSearch(blk, opt, excluded, sh)
-	best, bestMerit, err := s.run()
+	best, err := runSplit[*graph.BitSet](s, len(s.order), 2, opt.workersOf(), s.fork)
 	sh.obsFlush(ctx)
-	if err != nil {
+	if err != nil || best == nil {
 		return nil, err
 	}
-	if best == nil || best.Empty() || bestMerit <= 0 {
-		return nil, nil
-	}
-	m := opt.metricsOf()(blk, opt.Model, best)
+	m := core.MetricsOf(blk, opt.Model, best)
 	return &core.Cut{
 		Block:  blk,
-		Nodes:  best.Clone(),
+		Nodes:  best,
 		NumIn:  m.NumIn,
 		NumOut: m.NumOut,
 		SWLat:  m.SWLat,
@@ -294,73 +268,14 @@ func SingleCutContext(ctx context.Context, blk *ir.Block, opt Options, excluded 
 	}, nil
 }
 
-// run drives the search: single-threaded when the pool is not requested
-// (or the block is too small to split), otherwise split + fan-out + merge.
-func (s *singleCutSearch) run() (*graph.BitSet, float64, error) {
-	n := len(s.order)
-	w := s.opt.workersOf()
-	d := splitDepthFor(s.opt.SplitDepth, w, n, 2)
-	if w <= 1 || d < 1 || n < 4 {
-		s.search(0)
-		s.flush()
-		if err := s.sh.err(); err != nil {
-			return nil, 0, err
-		}
-		return s.best, s.bestMerit, nil
+// takeBest implements splitSearch: a copy of the best cut and its merit.
+func (s *singleCutSearch) takeBest() (*graph.BitSet, float64) {
+	m := s.bestMerit
+	if m <= 0 {
+		return nil, 0
 	}
-
-	// Phase 1: enumerate the decision prefixes of depth d — the subtree
-	// tasks, in DFS order (include explored before exclude, exactly the
-	// sequential visit order, which is what makes the merge tie-break
-	// reproduce the sequential winner).
-	var tasks [][]byte
-	s.splitAt = d
-	s.collect = func(p []byte) { tasks = append(tasks, p) }
-	s.search(0)
-	s.collect = nil
-	s.flush()
-	if err := s.sh.err(); err != nil {
-		return nil, 0, err
-	}
-	if len(tasks) == 0 {
-		return s.best, s.bestMerit, nil // everything pruned at the root
-	}
-
-	// Phase 2: run the subtree tasks on the pool. Each worker replays a
-	// task's prefix on private state, explores its subtree pruning
-	// against the shared bound, and records its local first-best.
-	type result struct {
-		merit float64
-		nodes *graph.BitSet
-	}
-	results := make([]result, len(tasks))
-	runSubtrees(s.sh, w, len(tasks), func() func(ti int) {
-		ws := s.fork()
-		return func(ti int) {
-			ws.path = tasks[ti]
-			ws.bestMerit = 0
-			ws.search(0)
-			ws.flush()
-			if !ws.stopped && ws.bestMerit > 0 {
-				results[ti] = result{merit: ws.bestMerit, nodes: ws.best.Clone()}
-			}
-		}
-	})
-	if err := s.sh.err(); err != nil {
-		return nil, 0, err
-	}
-
-	// Phase 3: deterministic merge — first task (in DFS prefix order)
-	// achieving the maximum merit wins, matching the sequential
-	// first-improvement rule.
-	var best *graph.BitSet
-	bestMerit := 0.0
-	for _, r := range results {
-		if r.nodes != nil && r.merit > bestMerit {
-			bestMerit, best = r.merit, r.nodes
-		}
-	}
-	return best, bestMerit, nil
+	s.bestMerit = 0
+	return s.best.Clone(), m
 }
 
 func checkOptions(opt *Options, blk *ir.Block) error {
@@ -369,14 +284,6 @@ func checkOptions(opt *Options, blk *ir.Block) error {
 	}
 	if opt.MaxIn < 1 || opt.MaxOut < 1 {
 		return fmt.Errorf("exact: I/O constraints (%d,%d) must be at least (1,1)", opt.MaxIn, opt.MaxOut)
-	}
-	if opt.SplitDepth < 0 {
-		return fmt.Errorf("exact: SplitDepth = %d, must be non-negative", opt.SplitDepth)
-	}
-	// A NaN seed would poison the monotone CAS comparisons; a negative or
-	// infinite one is never the merit of a feasible assignment.
-	if opt.SeedBound < 0 || math.IsNaN(opt.SeedBound) || math.IsInf(opt.SeedBound, 0) {
-		return fmt.Errorf("exact: SeedBound = %g, must be finite and non-negative", opt.SeedBound)
 	}
 	if opt.NodeLimit > 0 && blk.N() > opt.NodeLimit {
 		return fmt.Errorf("%w: %d nodes > limit %d", ErrTooLarge, blk.N(), opt.NodeLimit)
@@ -582,16 +489,15 @@ func (s *singleCutSearch) branchExclude(i, v int) {
 // cancellation (see SingleCutContext) the cuts found before the abort are
 // returned alongside ctx.Err().
 //
-// Seeding (Options.SeedBound, Options.Bound) is rejected: each round is a
-// fresh single-cut search whose own optimum shrinks as nodes freeze, so no
-// single external merit is a sound bound for every round — a joint-merit
-// seed (the only kind a producer like K-L can certify) belongs to
-// MultiCutContext.
+// Seeding (Options.Bound) is rejected: each round is a fresh single-cut
+// search whose own optimum shrinks as nodes freeze, so no single external
+// merit is a sound bound for every round — a joint-merit seed (the only
+// kind a producer like K-L can certify) belongs to MultiCutContext.
 func IterativeContext(ctx context.Context, blk *ir.Block, opt Options, nise int) ([]*core.Cut, error) {
 	if nise < 1 {
 		return nil, fmt.Errorf("exact: nise = %d, must be at least 1", nise)
 	}
-	if opt.SeedBound != 0 || opt.Bound != nil {
+	if opt.Bound != nil {
 		return nil, fmt.Errorf("exact: Iterative cannot be bound-seeded (per-round optima shrink; seed MultiCutContext instead)")
 	}
 	excluded := graph.NewBitSet(blk.N())

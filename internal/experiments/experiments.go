@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"time"
 
 	isegen "repro"
@@ -129,8 +128,8 @@ type fig4Cell struct {
 // figure4Cells lists the paper's four algorithms in AlgoNames order.
 func (o Options) figure4Cells() []fig4Cell {
 	return []fig4Cell{
-		{"Exact", func(c *search.CostCache) search.Engine { return &search.ExactJoint{Cache: c} }, o.limits(o.ExactNodeLimit)},
-		{"Iterative", func(c *search.CostCache) search.Engine { return &search.ExactIterative{Cache: c} }, o.limits(o.IterativeNodeLimit)},
+		{"Exact", func(*search.CostCache) search.Engine { return &search.ExactJoint{} }, o.limits(o.ExactNodeLimit)},
+		{"Iterative", func(*search.CostCache) search.Engine { return &search.ExactIterative{} }, o.limits(o.IterativeNodeLimit)},
 		{"Genetic", func(c *search.CostCache) search.Engine { return &search.Genetic{Seed: o.GASeed, Cache: c} }, o.limits(0)},
 		{"ISEGEN", func(c *search.CostCache) search.Engine { return &search.KL{Cache: c} }, o.limits(0)},
 	}
@@ -587,11 +586,4 @@ func PrintSim(w io.Writer, rows []SimRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-16s %10.3f %10.3f %7.2f%%\n", r.Benchmark, r.Estimated, r.Simulated, 100*r.RelErr)
 	}
-}
-
-// SortRowsByNodes orders Figure 4 rows like the paper (ascending block
-// size); kernels.All already returns them sorted, this is a safety net for
-// callers assembling rows themselves.
-func SortRowsByNodes(rows []Fig4Row) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Nodes < rows[j].Nodes })
 }

@@ -125,22 +125,6 @@ func (b *BitSet) AndNot(other *BitSet) {
 	}
 }
 
-// AndNotAnd sets b to b \ (x ∩ y) in one word-level pass, without
-// materializing the intersection. x and y must have b's capacity.
-func (b *BitSet) AndNotAnd(x, y *BitSet) {
-	for i, w := range x.words {
-		b.words[i] &^= w & y.words[i]
-	}
-}
-
-// AndNotDiff sets b to b \ (x \ y) in one word-level pass, without
-// materializing the difference. x and y must have b's capacity.
-func (b *BitSet) AndNotDiff(x, y *BitSet) {
-	for i, w := range x.words {
-		b.words[i] &^= w &^ y.words[i]
-	}
-}
-
 // Intersects reports whether b ∩ other is non-empty.
 func (b *BitSet) Intersects(other *BitSet) bool {
 	m := len(b.words)

@@ -54,10 +54,6 @@ type Limits struct {
 	// the shared budget only in parallel (see exact.Options.Budget and
 	// DESIGN.md, "Determinism contract").
 	SubtreeWorkers int
-	// SplitDepth is the decision depth at which the exact engines split
-	// the tree into subtree tasks (0 = automatic). Results are identical
-	// for every depth.
-	SplitDepth int
 	// Deadline bounds the run's wall-clock time (racing engine only;
 	// 0 = none). When it expires the racer abandons the exact search and
 	// returns the best answer published so far — K-L's cuts, marked
@@ -112,10 +108,6 @@ type Engine interface {
 // KL is the ISEGEN engine: iterative Kernighan–Lin bi-partition with
 // dispersed restarts, candidate pools and objective-driven selection.
 type KL struct {
-	// Passes and Restarts override core.DefaultConfig when positive.
-	Passes, Restarts int
-	// Weights overrides the gain-function parameters when non-nil.
-	Weights *core.Weights
 	// Cache is the shared cut-costing cache (nil = cost directly).
 	Cache *CostCache
 }
@@ -129,15 +121,6 @@ func (e *KL) config(obj *Objective, lim *Limits) core.Config {
 	cfg.MaxIn, cfg.MaxOut, cfg.NISE = lim.MaxIn, lim.MaxOut, lim.NISE
 	cfg.Workers = lim.Workers
 	cfg.Model = obj.Model
-	if e.Passes > 0 {
-		cfg.MaxPasses = e.Passes
-	}
-	if e.Restarts > 0 {
-		cfg.Restarts = e.Restarts
-	}
-	if e.Weights != nil {
-		cfg.Weights = *e.Weights
-	}
 	return cfg
 }
 
@@ -162,24 +145,21 @@ func (e *KL) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim 
 }
 
 // ExactJoint is the paper's "Exact" baseline: joint optimal assignment of
-// block nodes to NISE disjoint feasible cuts (tiny blocks only).
-type ExactJoint struct {
-	Cache *CostCache
-}
+// block nodes to NISE disjoint feasible cuts (tiny blocks only). Its few
+// winners cost through core.MetricsOf, not the shared cache.
+type ExactJoint struct{}
 
 // Name implements Engine.
 func (e *ExactJoint) Name() string { return "Exact" }
 
 // RunContext implements Engine with the joint exact search (see runExact).
 func (e *ExactJoint) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
-	return runExact(ctx, e.Name(), exact.MultiCutContext, blk, obj, lim, e.Cache)
+	return runExact(ctx, e.Name(), exact.MultiCutContext, blk, obj, lim)
 }
 
 // ExactIterative is the paper's "Iterative" baseline: the exact best
 // single cut is found, frozen, and the search repeats.
-type ExactIterative struct {
-	Cache *CostCache
-}
+type ExactIterative struct{}
 
 // Name implements Engine.
 func (e *ExactIterative) Name() string { return "Iterative" }
@@ -187,7 +167,7 @@ func (e *ExactIterative) Name() string { return "Iterative" }
 // RunContext implements Engine with the iterated single-cut exact search
 // (see runExact).
 func (e *ExactIterative) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
-	return runExact(ctx, e.Name(), exact.IterativeContext, blk, obj, lim, e.Cache)
+	return runExact(ctx, e.Name(), exact.IterativeContext, blk, obj, lim)
 }
 
 // runExact is both exact engines' RunContext body; solve is the exact
@@ -197,9 +177,9 @@ func (e *ExactIterative) RunContext(ctx context.Context, blk *ir.Block, obj *Obj
 // lim.SubtreeWorkers > 1 runs it on the in-block subtree pool with
 // bit-identical results.
 func runExact(ctx context.Context, name string, solve func(context.Context, *ir.Block, exact.Options, int) ([]*core.Cut, error),
-	blk *ir.Block, obj *Objective, lim *Limits, cache *CostCache) ([]*core.Cut, Stats, error) {
+	blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
 	start := time.Now()
-	opt, err := exactOptions(name, obj, lim, cache)
+	opt, err := exactOptions(name, obj, lim)
 	if err != nil {
 		return nil, Stats{Engine: name}, err
 	}
@@ -217,22 +197,18 @@ func checkObjective(obj *Objective) error {
 	return nil
 }
 
-func exactOptions(name string, obj *Objective, lim *Limits, cache *CostCache) (exact.Options, error) {
+func exactOptions(name string, obj *Objective, lim *Limits) (exact.Options, error) {
 	if err := checkObjective(obj); err != nil {
 		return exact.Options{}, err
 	}
 	if obj.Score != nil || obj.MultiObjective() {
 		return exact.Options{}, fmt.Errorf("search: engine %q optimizes merit and cannot honor objective %q; only \"merit\" (or the ISEGEN engine) works here", name, obj.Name)
 	}
-	opt := exact.Options{
+	return exact.Options{
 		MaxIn: lim.MaxIn, MaxOut: lim.MaxOut, Model: obj.Model,
 		NodeLimit: lim.NodeLimit, Budget: lim.Budget,
-		Workers: lim.SubtreeWorkers, SplitDepth: lim.SplitDepth,
-	}
-	if cache != nil {
-		opt.Metrics = cache.Metrics
-	}
-	return opt, nil
+		Workers: lim.SubtreeWorkers,
+	}, nil
 }
 
 // Genetic is the DAC'04 baseline: iterated single-cut evolution.
@@ -296,8 +272,8 @@ func (e *Genetic) RunContext(ctx context.Context, blk *ir.Block, obj *Objective,
 // constructors. Canonical display names come from Engine.Name.
 var engineFactories = map[string]func(cache *CostCache) Engine{
 	"isegen":    func(c *CostCache) Engine { return &KL{Cache: c} },
-	"exact":     func(c *CostCache) Engine { return &ExactJoint{Cache: c} },
-	"iterative": func(c *CostCache) Engine { return &ExactIterative{Cache: c} },
+	"exact":     func(*CostCache) Engine { return &ExactJoint{} },
+	"iterative": func(*CostCache) Engine { return &ExactIterative{} },
 	"genetic":   func(c *CostCache) Engine { return &Genetic{Seed: 1, Cache: c} },
 	"racing":    func(c *CostCache) Engine { return &Racing{Cache: c} },
 }

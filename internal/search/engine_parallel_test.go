@@ -29,7 +29,8 @@ func cutsFingerprint(cuts []*core.Cut) string {
 
 // TestEngineSubtreeWorkersDeterminism pins the Limits.SubtreeWorkers
 // contract through the unified engine layer: the exact engines return
-// bit-identical cuts for every subtree worker count and split depth.
+// bit-identical cuts for every subtree worker count (and so every split
+// depth it selects).
 func TestEngineSubtreeWorkersDeterminism(t *testing.T) {
 	model := latency.Default()
 	obj := search.Merit(model)
@@ -52,18 +53,16 @@ func TestEngineSubtreeWorkersDeterminism(t *testing.T) {
 				t.Fatalf("%s/%s sequential: %v", spec.Name, name, err)
 			}
 			seq := cutsFingerprint(seqCuts)
-			for _, w := range []int{2, 6} {
-				for _, d := range []int{0, 3} {
-					lim := baseLim
-					lim.SubtreeWorkers, lim.SplitDepth = w, d
-					cuts, _, err := eng.RunContext(context.Background(), blk, obj, &lim)
-					if err != nil {
-						t.Fatalf("%s/%s workers=%d depth=%d: %v", spec.Name, name, w, d, err)
-					}
-					if got := cutsFingerprint(cuts); got != seq {
-						t.Fatalf("%s/%s workers=%d depth=%d diverged\n--- got\n%s--- want\n%s",
-							spec.Name, name, w, d, got, seq)
-					}
+			for _, w := range []int{2, 6, 16} {
+				lim := baseLim
+				lim.SubtreeWorkers = w
+				cuts, _, err := eng.RunContext(context.Background(), blk, obj, &lim)
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: %v", spec.Name, name, w, err)
+				}
+				if got := cutsFingerprint(cuts); got != seq {
+					t.Fatalf("%s/%s workers=%d diverged\n--- got\n%s--- want\n%s",
+						spec.Name, name, w, got, seq)
 				}
 			}
 		}

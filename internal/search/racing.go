@@ -50,7 +50,8 @@ type RaceEvent struct {
 // nil error. Mid-run exact improvements are worker-private and are not
 // streamed; the stream carries complete answers only.
 type Racing struct {
-	// Cache is the shared cut-costing cache all three racers cost through.
+	// Cache is the shared cut-costing cache the two heuristic racers cost
+	// through.
 	Cache *CostCache
 	// OnEvent, when non-nil, observes every publication as it happens
 	// (the service layer streams them as "frontier" NDJSON records). It
@@ -125,7 +126,7 @@ type heurOut struct {
 func (e *Racing) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, lim *Limits) ([]*core.Cut, Stats, error) {
 	start := time.Now()
 	stats := Stats{Engine: e.Name()}
-	opt, err := exactOptions(e.Name(), obj, lim, e.Cache)
+	opt, err := exactOptions(e.Name(), obj, lim)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -46,13 +46,11 @@ type Config struct {
 	// committed. It reclaims wedged jobs even when the client never
 	// disconnects.
 	JobDeadline time.Duration
-	// FlushRetries and FlushBackoff govern post-job store persistence: a
-	// failed flush retries up to FlushRetries times (default 2, negative
-	// = none) with exponential backoff starting at FlushBackoff (default
-	// 10ms). A flush refused by the store's write breaker
-	// (search.ErrStoreDegraded) is never retried — the breaker exists
-	// precisely to stop traffic to a failing disk.
-	FlushRetries int
+	// FlushBackoff governs post-job store persistence: a failed flush
+	// retries up to flushRetries times with exponential backoff starting
+	// at FlushBackoff (default 10ms). A flush refused by the store's write
+	// breaker (search.ErrStoreDegraded) is never retried — the breaker
+	// exists precisely to stop traffic to a failing disk.
 	FlushBackoff time.Duration
 	// FaultInjector, when set, is installed on every job context and
 	// consulted at the serving-layer fault points (fault.PointServiceJob
@@ -106,12 +104,6 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 16 << 20
-	}
-	if cfg.FlushRetries == 0 {
-		cfg.FlushRetries = 2
-	}
-	if cfg.FlushRetries < 0 {
-		cfg.FlushRetries = 0
 	}
 	if cfg.FlushBackoff <= 0 {
 		cfg.FlushBackoff = 10 * time.Millisecond
@@ -229,8 +221,7 @@ func parseParams(r *http.Request) (Params, error) {
 	}
 	for name, dst := range map[string]*int{
 		"in": &p.MaxIn, "out": &p.MaxOut, "nise": &p.NISE, "workers": &p.Workers,
-		"subtree_workers": &p.SubtreeWorkers, "split_depth": &p.SplitDepth,
-		"max_frontier": &p.MaxFrontier,
+		"subtree_workers": &p.SubtreeWorkers, "max_frontier": &p.MaxFrontier,
 	} {
 		if err := intField(name, dst); err != nil {
 			return p, err
@@ -451,6 +442,9 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// flushRetries bounds the retries of a failed post-job store flush.
+const flushRetries = 2
+
 // flushStore persists the cache after a job with bounded retry: transient
 // failures back off exponentially and try again, while ErrStoreDegraded
 // returns immediately — the store's write breaker is already refusing
@@ -461,7 +455,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 func (s *Server) flushStore(rec *obs.Recorder) {
 	err := s.cache.Flush()
 	backoff := s.cfg.FlushBackoff
-	for try := 0; try < s.cfg.FlushRetries && err != nil && !errors.Is(err, search.ErrStoreDegraded); try++ {
+	for try := 0; try < flushRetries && err != nil && !errors.Is(err, search.ErrStoreDegraded); try++ {
 		time.Sleep(backoff)
 		backoff *= 2
 		rec.Add(obs.StoreFlushRetries, 1)

@@ -74,10 +74,6 @@ type Params struct {
 	// may exhaust the shared budget only in parallel — see
 	// exact.Options.Budget).
 	SubtreeWorkers int `json:"subtree_workers,omitempty"`
-	// SplitDepth is the decision depth at which the exact engines split
-	// the tree (0 = automatic; exact engines only). Results are
-	// identical for every depth.
-	SplitDepth int `json:"split_depth,omitempty"`
 	// MaxFrontier bounds the Pareto frontier accumulated under
 	// objective "pareto" (0 = unbounded): the lowest-ranked point is
 	// evicted deterministically when the bound would be exceeded, so a
@@ -151,14 +147,11 @@ func (p Params) Validate() error {
 	if p.SubtreeWorkers < -1 {
 		return fmt.Errorf("service: subtree_workers must be >= -1 (got %d; -1 = one per CPU core)", p.SubtreeWorkers)
 	}
-	if p.SplitDepth < 0 {
-		return fmt.Errorf("service: split_depth must be non-negative (got %d)", p.SplitDepth)
-	}
 	if p.MaxFrontier < 0 {
 		return fmt.Errorf("service: max_frontier must be non-negative (got %d)", p.MaxFrontier)
 	}
-	if (p.SubtreeWorkers != 0 || p.SplitDepth != 0) && p.Algo != "exact" && p.Algo != "iterative" && p.Algo != "racing" {
-		return fmt.Errorf("service: subtree_workers/split_depth are only read by the exact engines (\"exact\", \"iterative\", \"racing\"; algo is %q)", p.Algo)
+	if p.SubtreeWorkers != 0 && p.Algo != "exact" && p.Algo != "iterative" && p.Algo != "racing" {
+		return fmt.Errorf("service: subtree_workers is only read by the exact engines (\"exact\", \"iterative\", \"racing\"; algo is %q)", p.Algo)
 	}
 	if p.Deadline < 0 {
 		return fmt.Errorf("service: deadline must be non-negative (got %v)", p.Deadline)
@@ -461,8 +454,8 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 		Workers: 1, // K-L parallelism lives on the block axis here
 		// In-block branch-and-bound fan-out for the exact engines:
 		// orthogonal to the block axis, bit-identical results.
-		SubtreeWorkers: p.SubtreeWorkers, SplitDepth: p.SplitDepth,
-		Deadline: p.Deadline,
+		SubtreeWorkers: p.SubtreeWorkers,
+		Deadline:       p.Deadline,
 	}
 
 	// Frontier records land mid-fan-out from engine goroutines while the

@@ -554,11 +554,12 @@ func TestRunEmitErrorAborts(t *testing.T) {
 	}
 }
 
-// TestServiceSubtreeWorkersParam pins the new in-block parallelism knobs
-// end to end: subtree_workers/split_depth leave the exact engines' NDJSON
-// stream bit-identical (only wall-clock may change), the served stream
-// matches the offline path, and the orphan-knob validation rejects the
-// parameters for engines that do not read them.
+// TestServiceSubtreeWorkersParam pins the in-block parallelism knob end to
+// end: subtree_workers leaves the exact engines' NDJSON stream
+// bit-identical (only wall-clock may change; a huge count reaches the
+// subtree-depth clamp), the served stream matches the offline path, and the
+// orphan-knob validation rejects the parameter for engines that do not
+// read it.
 func TestServiceSubtreeWorkersParam(t *testing.T) {
 	dfg := kernelDFG(t, kernels.Fbital00())
 	srv := NewServer(Config{})
@@ -572,7 +573,7 @@ func TestServiceSubtreeWorkersParam(t *testing.T) {
 
 	for _, q := range []string{
 		"?algo=iterative&subtree_workers=4",
-		"?algo=iterative&subtree_workers=4&split_depth=3",
+		"?algo=iterative&subtree_workers=1024",
 		"?algo=iterative&subtree_workers=-1",
 	} {
 		status, got := postSelect(t, ts, dfg, q)
@@ -587,7 +588,7 @@ func TestServiceSubtreeWorkersParam(t *testing.T) {
 	// Orphan knobs: engines that never read them reject them up front.
 	for _, q := range []string{
 		"?subtree_workers=4",              // default algo isegen
-		"?algo=genetic&split_depth=2",     // genetic has no subtree search
+		"?algo=genetic&subtree_workers=2", // genetic has no subtree search
 		"?algo=iterative&max_frontier=10", // max_frontier needs pareto
 		"?algo=iterative&subtree_workers=-2",
 	} {

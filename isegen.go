@@ -409,10 +409,11 @@ const DefaultGatePenalty = search.DefaultGatePenalty
 // ExactOptions configures the exact baselines. Setting Workers > 1 fans
 // the branch-and-bound out inside the block on a shared best-bound with
 // bit-identical results (see DESIGN.md, "Determinism contract").
-// SeedBound and Bound pre-load that best-bound with an externally known
-// feasible merit (the racing engine's heuristic answers), pruning the
-// search without changing its result (see DESIGN.md, "Seeded-bound
-// soundness").
+// Bound is that best-bound: raising it with an externally known feasible
+// merit (the racing engine's heuristic answers), before or during the
+// run, prunes the search without changing its result (see DESIGN.md,
+// "Seeded-bound soundness"). Winners cost through the uncached cut
+// costing.
 type ExactOptions = exact.Options
 
 // ExactBound is a raisable shared best-bound, for publishing improving
@@ -441,8 +442,8 @@ func ExactIterative(blk *Block, opt ExactOptions, nise int) ([]*Cut, error) {
 }
 
 // ExactIterativeContext is ExactIterative with in-block cancellation.
-// Every ExactOptions field is honored (Iterative rejects bound seeding;
-// see ExactOptions.SeedBound).
+// Every ExactOptions field but Bound is honored: Iterative rejects bound
+// seeding, since its per-round optima shrink as nodes freeze.
 func ExactIterativeContext(ctx context.Context, blk *Block, opt ExactOptions, nise int) ([]*Cut, error) {
 	return exact.IterativeContext(ctx, blk, opt, nise)
 }
@@ -455,8 +456,8 @@ func ExactMultiCut(blk *Block, opt ExactOptions, nise int) ([]*Cut, error) {
 }
 
 // ExactMultiCutContext is ExactMultiCut with in-block cancellation. Every
-// ExactOptions field is honored, including the anytime-seeding fields
-// (SeedBound, Bound) the racing engine uses.
+// ExactOptions field is honored, including the anytime-seeding Bound the
+// racing engine uses.
 func ExactMultiCutContext(ctx context.Context, blk *Block, opt ExactOptions, nise int) ([]*Cut, error) {
 	return exact.MultiCutContext(ctx, blk, opt, nise)
 }
